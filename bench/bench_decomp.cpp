@@ -1,16 +1,16 @@
-// Decomposition microbench: the serial full-sort decomposition pipeline
-// (--decomp-impl=sort) against the parallel histogram pipeline
-// (--decomp-impl=histogram) across worker counts, timed through the
-// Forest's own decompose phase (box reduction + key assignment +
-// splitter finding + scatter). Results go to BENCH_decomp.json
-// (override with --out=<path>).
+// Decomposition microbench: the serial full-sort reference (a global
+// sort per target through Decomposition::findSplitters()) against the
+// Forest's parallel histogram pipeline, timed through its own decompose
+// phase (box reduction + key assignment + splitter finding + scatter),
+// across worker counts. Results go to BENCH_decomp.json (override with
+// --out=<path>).
 //
-// The serial sort path is worker-count independent (it runs on the
-// caller), so it is measured once at 1 worker as the baseline; the
-// histogram path is swept over {1, 2, 4, 8} workers. The two paths are
-// also cross-checked for *identical* per-particle partition and subtree
-// assignment — the bench exits nonzero on any divergence, so a perf run
-// doubles as an equivalence gate.
+// The serial reference is worker-count independent (it runs on the
+// caller), so it is measured once as the baseline; the histogram
+// pipeline is swept over {1, 2, 4, 8} workers. Every point is also
+// cross-checked against the reference for *identical* per-particle
+// partition and subtree assignment — the bench exits nonzero on any
+// divergence, so a perf run doubles as an equivalence gate.
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +23,7 @@
 #include "core/forest.hpp"
 #include "apps/gravity/centroid_data.hpp"
 #include "util/distributions.hpp"
+#include "util/timer.hpp"
 
 using namespace paratreet;
 
@@ -36,11 +37,10 @@ struct CaseResult {
   double speedup = 1.0;   ///< serial-sort time / this time, same decomp type
 };
 
-Configuration makeConfig(DecompType type, DecompImpl impl) {
+Configuration makeConfig(DecompType type) {
   Configuration conf;
   conf.tree_type = TreeType::eOct;
   conf.decomp_type = type;
-  conf.decomp_impl = impl;
   // Fixed piece counts across the sweep: the worker count scales the
   // executor, never the problem, so the series is a clean scaling curve
   // and every point is assignment-comparable to the serial baseline.
@@ -63,13 +63,55 @@ std::vector<std::pair<int, int>> assignments(
   return out;
 }
 
-/// Best-of-`reps` decompose seconds for one (type, impl, procs) point;
-/// also returns the assignment for cross-checking.
-double runCase(DecompType type, DecompImpl impl, int procs,
-               const std::vector<Particle>& base, int reps,
-               std::vector<std::pair<int, int>>& assign_out) {
+/// Best-of-`reps` seconds of the serial full-sort reference: the same
+/// padded box, Morton keys and piece counts as Forest::decompose(), but
+/// splitters from findSplitters() for both targets and a serial scatter
+/// into per-subtree buckets. Also returns the assignment it produced.
+double runSortReference(DecompType type, const std::vector<Particle>& base,
+                        int reps,
+                        std::vector<std::pair<int, int>>& assign_out) {
+  const Configuration conf = makeConfig(type);
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    std::vector<Particle> ps = base;
+    WallTimer timer;
+    OrientedBox universe;
+    for (const auto& p : ps) universe.grow(p.position);
+    const Vec3 pad = universe.size() * 1e-9 + Vec3(1e-12);
+    universe.grow(universe.greater_corner + pad);
+    universe.grow(universe.lesser_corner - pad);
+    assignKeys(ps, universe);
+    makeDecomposition(conf.decomp_type)
+        ->findSplitters(std::span<Particle>(ps), universe,
+                        conf.min_partitions, Decomposition::Target::kPartition);
+    const int n_subtrees =
+        makeDecomposition(conf.subtreeDecomp())
+            ->findSplitters(std::span<Particle>(ps), universe,
+                            conf.min_subtrees, Decomposition::Target::kSubtree);
+    std::vector<std::vector<Particle>> subtrees(
+        static_cast<std::size_t>(n_subtrees));
+    for (const auto& p : ps) {
+      subtrees[static_cast<std::size_t>(p.subtree)].push_back(p);
+    }
+    best = std::min(best, timer.seconds());
+    assign_out.assign(base.size(), {-1, -1});
+    for (const auto& bucket : subtrees) {
+      for (const auto& p : bucket) {
+        assign_out[static_cast<std::size_t>(p.order)] = {p.partition,
+                                                        p.subtree};
+      }
+    }
+  }
+  return best;
+}
+
+/// Best-of-`reps` Forest::decompose() seconds at `procs` workers; also
+/// returns the assignment for cross-checking.
+double runHistogram(DecompType type, int procs,
+                    const std::vector<Particle>& base, int reps,
+                    std::vector<std::pair<int, int>>& assign_out) {
   rts::Runtime rt({procs, 1});
-  Configuration conf = makeConfig(type, impl);
+  Configuration conf = makeConfig(type);
   Forest<CentroidData, OctTreeType> forest(rt, conf);
   forest.load(base);
   double best = std::numeric_limits<double>::infinity();
@@ -126,10 +168,9 @@ int main(int argc, char** argv) {
     std::vector<std::pair<int, int>> sort_assign;
     CaseResult sort_case;
     sort_case.decomp = toString(type);
-    sort_case.impl = toString(DecompImpl::kSort);
+    sort_case.impl = "sort";
     sort_case.workers = 1;
-    sort_case.decompose_s = runCase(type, DecompImpl::kSort, 1, base, reps,
-                                    sort_assign);
+    sort_case.decompose_s = runSortReference(type, base, reps, sort_assign);
     cases.push_back(sort_case);
 
     std::printf("%s:\n", toString(type).c_str());
@@ -139,10 +180,9 @@ int main(int argc, char** argv) {
       std::vector<std::pair<int, int>> hist_assign;
       CaseResult c;
       c.decomp = toString(type);
-      c.impl = toString(DecompImpl::kHistogram);
+      c.impl = "histogram";
       c.workers = workers;
-      c.decompose_s = runCase(type, DecompImpl::kHistogram, workers, base,
-                              reps, hist_assign);
+      c.decompose_s = runHistogram(type, workers, base, reps, hist_assign);
       c.speedup = sort_case.decompose_s / c.decompose_s;
       cases.push_back(c);
       bench::printBar("histogram w=" + std::to_string(workers),

@@ -40,7 +40,6 @@ namespace paratreet::bench {
 ///                     --wedge-at-step=N --recovery-mode=restart|shrink
 ///                     --drain-deadline-ms=T --max-restarts=N
 ///   kernel()          --kernel=visitor|batched
-///   decompImpl()      --decomp-impl=sort|histogram
 ///   transport()       --transport=inproc|tcp --tcp-host=<ip> --tcp-port=<n>
 ///                     --heartbeat-ms=T --miss-threshold=N
 class ArgParser {
@@ -135,9 +134,8 @@ class ArgParser {
   ///   --checkpoint-dir=<path>
   ///                          also persist every sealed generation to
   ///                          disk, crash-consistently (ckpt_<step>/
-  ///                          with MANIFEST + CRCs, tmp-then-rename),
-  ///                          plus the legacy lossy .snap export; the
-  ///                          directory is created when missing
+  ///                          with MANIFEST + CRCs, tmp-then-rename);
+  ///                          the directory is created when missing
   ///   --checkpoint-keep=K    on-disk generations retained (default 2);
   ///                          older ones are garbage-collected
   ///   --resume               continue a dead job: restore the newest
@@ -232,20 +230,6 @@ class ArgParser {
     if (value == "visitor") return EvalKernel::kVisitor;
     if (value == "batched") return EvalKernel::kBatched;
     usageError("--kernel=", "'visitor' or 'batched'", value);
-  }
-
-  /// `--decomp-impl=sort|histogram`: the selected decomposition
-  /// implementation (default: the parallel histogram pipeline). "sort"
-  /// selects the serial full-sort reference path kept for A/B
-  /// validation; both produce identical piece assignments.
-  DecompImpl decompImpl() {
-    std::string value;
-    if (!flag("--decomp-impl=", value)) return DecompImpl::kHistogram;
-    DecompImpl impl;
-    if (!fromString(value, impl)) {
-      usageError("--decomp-impl=", "'sort' or 'histogram'", value);
-    }
-    return impl;
   }
 
   /// The transport flags (README "Running ranks as processes"):

@@ -120,11 +120,6 @@ std::string Configuration::validate() const {
     return bad("bucket_size", bucket_size,
                "leaf buckets must hold at least one particle");
   }
-  if (splitter_probes < 1) {
-    return bad("splitter_probes", splitter_probes,
-               "each histogram refinement round must probe at least one "
-               "candidate splitter");
-  }
   if (fetch_depth < 1) {
     return bad("fetch_depth", fetch_depth,
                "each cache fill must ship at least one tree level");
@@ -173,8 +168,6 @@ std::uint64_t Configuration::compatibilityHash(
   mix(random_seed);
   mix(static_cast<std::uint64_t>(tree_type));
   mix(static_cast<std::uint64_t>(decomp_type));
-  mix(static_cast<std::uint64_t>(decomp_impl));
-  mix(static_cast<std::uint64_t>(splitter_probes));
   mix(static_cast<std::uint64_t>(min_partitions));
   mix(static_cast<std::uint64_t>(min_subtrees));
   mix(static_cast<std::uint64_t>(bucket_size));

@@ -102,15 +102,6 @@ struct Configuration {
   // --- structure -----------------------------------------------------------
   TreeType tree_type = TreeType::eOct;
   DecompType decomp_type = DecompType::eSfc;
-  /// How splitter finding runs: kHistogram (default) chunks the counting
-  /// passes over the worker runtime (the ChaNGa-inherited scheme);
-  /// kSort is the serial full-sort reference path for A/B validation.
-  /// Both produce identical piece assignments.
-  DecompImpl decomp_impl = DecompImpl::kHistogram;
-  /// Candidate splitter values probed per unresolved splitter per
-  /// histogram refinement round (>= 1); more probes means fewer counting
-  /// passes at larger per-pass histograms.
-  int splitter_probes = 15;
   /// Minimum numbers of chares; actual counts may exceed (eOct rounding).
   int min_partitions = 8;
   int min_subtrees = 8;
@@ -165,13 +156,10 @@ struct Configuration {
   /// backoff, restart → shrink escalation, and a global recovery budget.
   RecoveryPolicy recovery{};
   /// When non-empty, every sealed checkpoint generation is also persisted
-  /// to this directory (created if missing) in two forms:
-  ///  - `ckpt_<step>/` — the verbatim chunk stream + MANIFEST written
-  ///    crash-consistently (rts::DurableStore): lossless, CRC-verified,
-  ///    and what `resume` restores from after whole-job death;
-  ///  - `checkpoint_<step>.snap` — a legacy util/snapshot export that
-  ///    keeps only position/velocity/mass/radius (drops keys, per-
-  ///    iteration outputs, ...), loadable via input_file but *lossy*.
+  /// to this directory (created if missing) as `ckpt_<step>/`: the
+  /// verbatim chunk stream + MANIFEST written crash-consistently
+  /// (rts::DurableStore) — lossless, CRC-verified, and what `resume`
+  /// restores from after whole-job death. Nothing else is written there.
   std::string checkpoint_dir;
   /// On-disk generations retained under checkpoint_dir (>= 1): older
   /// `ckpt_<step>/` directories are garbage-collected as new ones land,

@@ -183,9 +183,9 @@ class Driver {
       // disk write — that generation already exists on disk, and
       // re-persisting it would garbage-collect its older sibling.
       const int base = recovered.has_value() ? recovered->step : -1;
-      checkpoint(store, conf, instr, base, /*from_subtrees=*/true,
-                 ckpt_seconds, recovered.has_value() ? nullptr : disk,
-                 disk_bytes, disk_seconds);
+      checkpoint(store, instr, base, /*from_subtrees=*/true, ckpt_seconds,
+                 recovered.has_value() ? nullptr : disk, disk_bytes,
+                 disk_seconds);
     }
 
     // A scheduled crash/wedge fires exactly once, even though recovery
@@ -234,7 +234,7 @@ class Driver {
         // reproduces exactly what flush() would have seen.
         if (ckpt_on && (iter + 1) % conf.checkpoint_every == 0 &&
             iter + 1 < conf.num_iterations) {
-          checkpoint(store, conf, instr, iter, /*from_subtrees=*/false,
+          checkpoint(store, instr, iter, /*from_subtrees=*/false,
                      ckpt_seconds, disk, disk_bytes, disk_seconds);
         }
         if (iter + 1 < conf.num_iterations) forest_->flush();
@@ -370,10 +370,9 @@ class Driver {
   /// of checkpointTo()'s drain before seal() — the half-written
   /// generation is then ignored by recovery. With `disk` set, the sealed
   /// generation is then persisted crash-consistently (verbatim chunks +
-  /// manifest, tmp-then-rename) and the legacy lossy .snap export rides
-  /// along.
-  void checkpoint(rts::CheckpointStore& store, const Configuration& conf,
-                  const Instrumentation& instr, int step, bool from_subtrees,
+  /// manifest, tmp-then-rename).
+  void checkpoint(rts::CheckpointStore& store, const Instrumentation& instr,
+                  int step, bool from_subtrees,
                   obs::Gauge* seconds, rts::DurableStore* disk,
                   obs::Counter* disk_bytes, obs::Gauge* disk_seconds) {
     obs::TraceSpan span(instr.trace, "checkpoint", "driver");
@@ -388,49 +387,10 @@ class Driver {
       const std::uint64_t bytes = disk->persist(
           step, chunks,
           static_cast<std::uint64_t>(forest_->particleCount()));
-      // Convert on the worker runtime, overlapped with the disk writes
-      // (saveSnapshot's chunked double-buffering).
-      RuntimeParallelFor par(forest_->runtime(),
-                             forest_->runtime().liveProcs());
-      writeCheckpointSnapshot(chunks, conf.checkpoint_dir, step, &par);
       if (disk_bytes != nullptr) disk_bytes->add(bytes);
       if (disk_seconds != nullptr) disk_seconds->add(disk_timer.seconds());
     }
     if (seconds != nullptr) seconds->add(timer.seconds());
-  }
-
-  /// Legacy on-disk export: write an assembled generation as an ordinary
-  /// util/snapshot file (checkpoint_<step>.snap), loadable later through
-  /// conf.input_file. Unlike the ckpt_<step>/ generation directories
-  /// this form is *lossy* — only position/velocity/mass/radius survive
-  /// (keys, per-iteration outputs and identity beyond input order are
-  /// dropped) — so `resume` never reads it; it exists for external
-  /// tooling that speaks the snapshot format. saveSnapshot itself writes
-  /// tmp-then-rename, so a death mid-export can't leave a truncated file
-  /// at the loadable name.
-  static void writeCheckpointSnapshot(
-      const std::vector<std::vector<std::byte>>& chunks,
-      const std::string& dir, int step, ParallelFor* par = nullptr) {
-    std::vector<Particle> all;
-    for (const auto& chunk : chunks) {
-      auto decoded = deserializeCheckpointChunk(chunk);
-      all.insert(all.end(), decoded.second.begin(), decoded.second.end());
-    }
-    InitialConditions ic;
-    ic.positions.resize(all.size());
-    ic.velocities.resize(all.size());
-    ic.masses.resize(all.size());
-    ic.radii.resize(all.size());
-    for (const auto& p : all) {
-      const auto i = static_cast<std::size_t>(p.order);
-      if (i >= all.size()) continue;  // restore validates; keep the writer lax
-      ic.positions[i] = p.position;
-      ic.velocities[i] = p.velocity;
-      ic.masses[i] = p.mass;
-      ic.radii[i] = p.ball_radius;
-    }
-    saveSnapshot(dir + "/checkpoint_" + std::to_string(step) + ".snap", ic,
-                 par);
   }
 
   std::unique_ptr<Forest<Data, TreeTypeT>> forest_;

@@ -110,11 +110,10 @@ class Forest {
   /// independent; the library optimizes placement so equal splitters
   /// colocate Partition i with Subtree i.
   ///
-  /// With Configuration::decomp_impl == kHistogram (the default) the
-  /// whole pipeline — box reduction, key assignment, splitter finding,
-  /// and the scatter — runs chunked on the worker runtime; kSort is the
-  /// serial full-sort reference path kept for A/B validation, and both
-  /// produce identical piece assignments.
+  /// The whole pipeline — box reduction, key assignment, splitter
+  /// finding by iterative histogramming, and the scatter — runs chunked
+  /// on the worker runtime. Its piece assignments are identical to the
+  /// serial full-sort Decomposition::findSplitters() reference.
   void decompose() {
     WallTimer timer;
     obs::TraceSpan span(instr_.trace, "decompose", "phase");
@@ -125,41 +124,32 @@ class Forest {
     if (live_procs_.empty()) {
       throw std::runtime_error("Forest::decompose: no live processes");
     }
-    const bool parallel = conf_.decomp_impl == DecompImpl::kHistogram;
     RuntimeParallelFor worker_par(rt_, live_procs_);
     const int chunks = std::max(1, worker_par.ways());
     const std::size_t n = particles_.size();
 
+    // Chunked box reduction: partial boxes merge after quiescence
+    // (grow() skips empty partials from empty chunks).
     universe_ = OrientedBox{};
-    if (parallel) {
-      // Chunked box reduction: partial boxes merge after quiescence
-      // (grow() skips empty partials from empty chunks).
-      std::vector<OrientedBox> partial(static_cast<std::size_t>(chunks));
-      worker_par.run(chunks, [&](int c) {
-        const auto r = decomp::chunkOf(n, chunks, c);
-        auto& box = partial[static_cast<std::size_t>(c)];
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          box.grow(particles_[i].position);
-        }
-      });
-      for (const auto& box : partial) universe_.grow(box);
-    } else {
-      for (const auto& p : particles_) universe_.grow(p.position);
-    }
+    std::vector<OrientedBox> partial(static_cast<std::size_t>(chunks));
+    worker_par.run(chunks, [&](int c) {
+      const auto r = decomp::chunkOf(n, chunks, c);
+      auto& box = partial[static_cast<std::size_t>(c)];
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        box.grow(particles_[i].position);
+      }
+    });
+    for (const auto& box : partial) universe_.grow(box);
     // Pad so particles on the boundary stay strictly inside (keys clamp).
     const Vec3 pad = universe_.size() * 1e-9 + Vec3(1e-12);
     universe_.grow(universe_.greater_corner + pad);
     universe_.grow(universe_.lesser_corner - pad);
-    if (parallel) {
-      worker_par.run(chunks, [&](int c) {
-        const auto r = decomp::chunkOf(n, chunks, c);
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          particles_[i].key = keys::mortonKey(particles_[i].position, universe_);
-        }
-      });
-    } else {
-      assignKeys(particles_, universe_);
-    }
+    worker_par.run(chunks, [&](int c) {
+      const auto r = decomp::chunkOf(n, chunks, c);
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        particles_[i].key = keys::mortonKey(particles_[i].position, universe_);
+      }
+    });
 
     partition_decomp_ = makeDecomposition(conf_.decomp_type);
     subtree_decomp_ = makeDecomposition(conf_.subtreeDecomp());
@@ -168,28 +158,19 @@ class Forest {
       WallTimer splitter_timer;
       obs::TraceSpan splitter_span(instr_.trace, "decompose.splitters",
                                    "phase");
-      if (parallel) {
-        // Both decompositions count over the same keys, so the sorted
-        // scratch (the expensive part) is built once and shared.
-        decomp::SortedKeyScratch scratch(std::span<const Particle>(particles_),
-                                         worker_par, chunks);
-        n_parts = partition_decomp_->findSplittersHistogram(
-            std::span<Particle>(particles_), universe_, conf_.min_partitions,
-            Decomposition::Target::kPartition, worker_par,
-            conf_.splitter_probes, &scratch);
-        n_subtrees = subtree_decomp_->findSplittersHistogram(
-            std::span<Particle>(particles_), universe_, conf_.min_subtrees,
-            Decomposition::Target::kSubtree, worker_par,
-            conf_.splitter_probes, &scratch);
-        emitGauge("decompose.histogram_seconds", splitter_timer.seconds());
-      } else {
-        n_parts = partition_decomp_->findSplitters(
-            std::span<Particle>(particles_), universe_, conf_.min_partitions,
-            Decomposition::Target::kPartition);
-        n_subtrees = subtree_decomp_->findSplitters(
-            std::span<Particle>(particles_), universe_, conf_.min_subtrees,
-            Decomposition::Target::kSubtree);
-      }
+      // Both decompositions count over the same keys, so the sorted
+      // scratch (the expensive part) is built once and shared.
+      decomp::SortedKeyScratch scratch(std::span<const Particle>(particles_),
+                                       worker_par, chunks);
+      n_parts = partition_decomp_->findSplittersHistogram(
+          std::span<Particle>(particles_), universe_, conf_.min_partitions,
+          Decomposition::Target::kPartition, worker_par,
+          Decomposition::kSplitterProbes, &scratch);
+      n_subtrees = subtree_decomp_->findSplittersHistogram(
+          std::span<Particle>(particles_), universe_, conf_.min_subtrees,
+          Decomposition::Target::kSubtree, worker_par,
+          Decomposition::kSplitterProbes, &scratch);
+      emitGauge("decompose.histogram_seconds", splitter_timer.seconds());
     }
     auto regions = subtree_decomp_->regions();
     assert(static_cast<int>(regions.size()) == n_subtrees);
@@ -232,14 +213,7 @@ class Forest {
     {
       WallTimer scatter_timer;
       obs::TraceSpan scatter_span(instr_.trace, "decompose.scatter", "phase");
-      if (parallel) {
-        scatterParallel(worker_par, chunks, n_subtrees);
-      } else {
-        for (const auto& p : particles_) {
-          subtrees_[static_cast<std::size_t>(p.subtree)]->particles.push_back(
-              p);
-        }
-      }
+      scatterParallel(worker_par, chunks, n_subtrees);
       emitGauge("decompose.scatter_seconds", scatter_timer.seconds());
     }
     const double seconds = timer.seconds();

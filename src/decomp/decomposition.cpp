@@ -29,21 +29,6 @@ bool fromString(const std::string& s, DecompType& out) {
   return true;
 }
 
-std::string toString(DecompImpl i) {
-  switch (i) {
-    case DecompImpl::kSort: return "sort";
-    case DecompImpl::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
-bool fromString(const std::string& s, DecompImpl& out) {
-  if (s == "sort") out = DecompImpl::kSort;
-  else if (s == "histogram") out = DecompImpl::kHistogram;
-  else return false;
-  return true;
-}
-
 namespace decomp {
 
 // Sorting the 8-byte scratch instead of the wide Particle structs is

@@ -27,18 +27,6 @@ std::string toString(DecompType t);
 /// Parse the toString() spelling (case-sensitive); false on unknown input.
 bool fromString(const std::string& s, DecompType& out);
 
-/// How splitter finding is executed (Configuration::decomp_impl).
-enum class DecompImpl {
-  kSort,       ///< full std::sort per decomposition target — the serial
-               ///< reference path, kept for A/B validation
-  kHistogram,  ///< iterative parallel histogramming over candidate
-               ///< splitters (the paper's ChaNGa-inherited scheme); piece
-               ///< assignments are identical to the sort path's
-};
-
-std::string toString(DecompImpl i);
-bool fromString(const std::string& s, DecompImpl& out);
-
 /// Executor handed to the parallel-histogram decomposition path: run a
 /// batch of independent closures to completion, possibly concurrently.
 /// ways() is the preferred fan-out — counting passes split their input
@@ -134,6 +122,12 @@ class Decomposition {
   virtual int findSplitters(std::span<Particle> particles,
                             const OrientedBox& universe, int n_pieces,
                             Target target) = 0;
+
+  /// Candidate splitter values Forest::decompose() probes per unresolved
+  /// splitter per histogram refinement round: more probes means fewer
+  /// counting passes at larger per-pass histograms. The result does not
+  /// depend on it.
+  static constexpr int kSplitterProbes = 15;
 
   /// Compute the same splitters as findSplitters() — piece assignments
   /// are bit-identical — by iterative histogramming over candidate

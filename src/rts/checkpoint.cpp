@@ -317,7 +317,7 @@ std::vector<std::string> listEntries(const std::string& dir) {
 void removeTree(const std::string& dir) {
   if (!pathExists(dir)) return;
   if (!isDirectory(dir)) {
-    // Plain-file debris (e.g. a .snap.tmp export killed mid-stream).
+    // Plain-file debris (e.g. an older build's .snap.tmp export).
     if (::unlink(dir.c_str()) != 0 && errno != ENOENT) {
       throwErrno("unlink", dir);
     }
@@ -639,9 +639,11 @@ void DurableStore::open(Options opts) {
   opts_ = std::move(opts);
   createDirs(opts_.dir);
   // Startup hygiene: a previous death mid-write can leave *.tmp debris —
-  // a ckpt_<step>.tmp generation dir never renamed in, or a lossy
-  // checkpoint_<step>.snap.tmp export killed mid-stream. Neither is ever
-  // loadable (rename is the commit point for both), so sweep them all.
+  // a ckpt_<step>.tmp generation dir never renamed in, or (in a
+  // directory written by older builds, which also exported a lossy
+  // checkpoint_<step>.snap) a .snap.tmp killed mid-stream. Neither is
+  // ever loadable (rename is the commit point for both), so sweep every
+  // *.tmp entry.
   const std::size_t slen = std::strlen(kTmpSuffix);
   for (const auto& name : listEntries(opts_.dir)) {
     if (name.size() > slen &&

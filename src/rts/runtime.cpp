@@ -644,7 +644,11 @@ void Runtime::workerLoop(int proc, int worker) {
     const auto w0 = m != nullptr ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
     if (!q.delayed.empty()) {
-      q.cv.wait_until(lock, q.delayed.top().ready);
+      // Copy the deadline: wait_until drops the lock and re-reads its
+      // argument after waking, and an enqueueAfterUs push meanwhile can
+      // reallocate the heap's storage under a reference into it.
+      const auto deadline = q.delayed.top().ready;
+      q.cv.wait_until(lock, deadline);
     } else {
       q.cv.wait(lock);
     }

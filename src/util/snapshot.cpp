@@ -1,7 +1,6 @@
 #include "util/snapshot.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,11 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
-
-#include "decomp/decomposition.hpp"
 
 namespace paratreet {
 
@@ -58,52 +53,30 @@ Record makeRecord(const InitialConditions& ic, std::size_t i) {
 
 }  // namespace
 
-void saveSnapshot(const std::string& path, const InitialConditions& ic,
-                  ParallelFor* par) {
+void saveSnapshot(const std::string& path, const InitialConditions& ic) {
   // Write-to-tmp + rename: a crash mid-write must never leave a
-  // truncated file at the final, loadable name (the checkpoint .snap
-  // exports depend on this). The rename at the end is atomic on POSIX.
+  // truncated file at the final, loadable name. The rename at the end is
+  // atomic on POSIX.
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open for writing: " + tmp);
   Header header{kMagic, kVersion, 0, ic.size()};
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
 
-  // Convert in blocks and overlap each block's write with the conversion
-  // of the next: the writer thread streams block k to disk while the main
-  // thread (plus `par`'s workers, when given) packs block k+1 into the
-  // other buffer. 64Ki records per block keeps both buffers at 4 MiB.
+  // Convert and write in blocks of 64Ki records (4 MiB), so the staging
+  // buffer stays bounded whatever the particle count.
   constexpr std::size_t kBlock = std::size_t{1} << 16;
-  std::vector<Record> bufs[2];
-  std::thread writer;
-  std::atomic<bool> write_failed{false};
+  std::vector<Record> recs;
   const std::size_t n = ic.size();
-  for (std::size_t begin = 0, flip = 0; begin < n; begin += kBlock, flip ^= 1) {
-    auto& recs = bufs[flip];
+  for (std::size_t begin = 0; begin < n && out; begin += kBlock) {
     recs.resize(std::min(kBlock, n - begin));
-    if (par != nullptr && par->ways() > 1) {
-      const int chunks = par->ways();
-      par->run(chunks, [&](int c) {
-        const auto r = decomp::chunkOf(recs.size(), chunks, c);
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          recs[i] = makeRecord(ic, begin + i);
-        }
-      });
-    } else {
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        recs[i] = makeRecord(ic, begin + i);
-      }
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      recs[i] = makeRecord(ic, begin + i);
     }
-    if (writer.joinable()) writer.join();
-    if (write_failed.load()) break;
-    writer = std::thread([&out, &write_failed, &recs] {
-      out.write(reinterpret_cast<const char*>(recs.data()),
-                static_cast<std::streamsize>(recs.size() * sizeof(Record)));
-      if (!out) write_failed.store(true);
-    });
+    out.write(reinterpret_cast<const char*>(recs.data()),
+              static_cast<std::streamsize>(recs.size() * sizeof(Record)));
   }
-  if (writer.joinable()) writer.join();
-  if (write_failed.load() || !out) {
+  if (!out) {
     out.close();
     std::remove(tmp.c_str());
     throw std::runtime_error("write failed: " + tmp);

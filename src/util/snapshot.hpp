@@ -18,14 +18,9 @@ namespace paratreet {
 /// non-finite (NaN/inf) particle positions are both rejected with errors
 /// naming the offender.
 ///
-/// saveSnapshot converts in chunks and overlaps each chunk's disk write
-/// with the conversion of the next. `par` (optional) additionally spreads
-/// the record conversion over worker tasks — Driver checkpointing passes
-/// a RuntimeParallelFor over the live ranks; nullptr converts serially
-/// (still overlapped with the writes).
-class ParallelFor;
-void saveSnapshot(const std::string& path, const InitialConditions& ic,
-                  ParallelFor* par = nullptr);
+/// saveSnapshot writes to `<path>.tmp` and renames it into place, so a
+/// crash mid-write never leaves a truncated file at `path`.
+void saveSnapshot(const std::string& path, const InitialConditions& ic);
 InitialConditions loadSnapshot(const std::string& path);
 
 /// Strict physics-level validation for simulation inputs: rejects

@@ -373,5 +373,17 @@ TEST(ColdRestart, UninterruptedRunRetainsExactlyKeepGenerations) {
   EXPECT_EQ(gens[1], "ckpt_9");
 }
 
+TEST(ColdRestart, EveryStepRunLeavesOnlyKeepGenerationsAtRest) {
+  TempDir tmp;
+  const std::string dir = tmp.path + "/ckpt";
+  Configuration conf = durableEveryTwo(dir);
+  conf.checkpoint_every = 1;
+  ASSERT_GT(kSteps, conf.checkpoint_keep + 1);
+  runCold(conf);
+  // Steps -1 .. 10 were persisted; disk use at rest must not grow with
+  // run length, so nothing but the newest keep generations is left.
+  EXPECT_EQ(listDir(dir), (std::vector<std::string>{"ckpt_10", "ckpt_9"}));
+}
+
 }  // namespace
 }  // namespace paratreet

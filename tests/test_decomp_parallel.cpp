@@ -205,17 +205,6 @@ TEST(DecompParallel, DegenerateInputs) {
   }
 }
 
-TEST(DecompParallel, DecompImplStrings) {
-  EXPECT_EQ(toString(DecompImpl::kSort), "sort");
-  EXPECT_EQ(toString(DecompImpl::kHistogram), "histogram");
-  DecompImpl impl;
-  EXPECT_TRUE(fromString("sort", impl));
-  EXPECT_EQ(impl, DecompImpl::kSort);
-  EXPECT_TRUE(fromString("histogram", impl));
-  EXPECT_EQ(impl, DecompImpl::kHistogram);
-  EXPECT_FALSE(fromString("radix", impl));
-}
-
 TEST(DecompParallel, ChunkRangesPartitionTheInput) {
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{97},
                               std::size_t{1000}}) {

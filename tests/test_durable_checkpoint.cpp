@@ -199,7 +199,7 @@ TEST(DurableStore, OpenCreatesMissingDirsAndSweepsStaleTmp) {
   EXPECT_TRUE(S_ISDIR(st.st_mode));
 
   // A previous job died mid-persist: ckpt_9.tmp was never renamed in,
-  // and a lossy .snap export was killed mid-stream too.
+  // and an older build's lossy .snap export was killed mid-stream too.
   ASSERT_EQ(0, ::mkdir((nested + "/ckpt_9.tmp").c_str(), 0755));
   writeFile(nested + "/ckpt_9.tmp/chunks.bin", makeChunk(0, 9, 2));
   writeFile(nested + "/checkpoint_3.snap.tmp", makeChunk(0, 3, 1));
