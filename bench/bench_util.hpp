@@ -9,11 +9,13 @@
 // *shapes* (who wins, by what factor, where crossovers happen) are the
 // reproduction targets recorded in EXPERIMENTS.md.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/config.hpp"
@@ -42,6 +44,10 @@ namespace paratreet::bench {
 ///   kernel()          --kernel=visitor|batched
 ///   transport()       --transport=inproc|tcp --tcp-host=<ip> --tcp-port=<n>
 ///                     --heartbeat-ms=T --miss-threshold=N
+///   help()            --help -h
+///
+/// A strict CLI (gravity_sim) also reads its numbers through
+/// positional() / integerFlag() and ends with rejectLeftovers().
 class ArgParser {
  public:
   ArgParser(int& argc, char** argv) : argc_(argc), argv_(argv) {}
@@ -79,6 +85,53 @@ class ArgParser {
     }
     argc_ = kept;
     return found;
+  }
+
+  /// `--help` or `-h`: true (and stripped) when present.
+  bool help() { return boolFlag("--help") | boolFlag("-h"); }
+
+  /// Positional argument `index` (1-based, counted after flag stripping)
+  /// as a positive integer, or `fallback` when absent. Anything else —
+  /// sign, trailing junk, overflow, zero — exits 2 naming `name`.
+  template <typename T>
+  T positional(int index, const char* name, T fallback) {
+    if (index >= argc_) return fallback;
+    T value{};
+    if (!parseInteger(argv_[index], value) || value <= 0) {
+      usageError(name, "a positive integer", argv_[index]);
+    }
+    return value;
+  }
+
+  /// `--<name>=<n>` as an integer >= `min`; false (and `out` untouched)
+  /// when absent, exit 2 when malformed or out of range.
+  template <typename T>
+  bool integerFlag(std::string_view name, T& out, T min) {
+    std::string value;
+    if (!flag(name, value)) return false;
+    T parsed{};
+    if (!parseInteger(value, parsed) || parsed < min) {
+      usageError(std::string(name).c_str(),
+                 ("an integer >= " + std::to_string(min)).c_str(), value);
+    }
+    out = parsed;
+    return true;
+  }
+
+  /// Call after the last accessor: exits 2 on a `--` flag nobody
+  /// consumed, or on more than `max_positionals` positional arguments.
+  void rejectLeftovers(int max_positionals) {
+    for (int i = 1; i < argc_; ++i) {
+      if (std::string_view(argv_[i]).starts_with("--")) {
+        std::fprintf(stderr, "unknown flag '%s' (see --help)\n", argv_[i]);
+        std::exit(2);
+      }
+    }
+    if (argc_ - 1 > max_positionals) {
+      std::fprintf(stderr, "too many arguments: '%s' (see --help)\n",
+                   argv_[max_positionals + 1]);
+      std::exit(2);
+    }
   }
 
   /// `--metrics-out=<path>`: the path ("-" means stdout; empty when the
@@ -271,6 +324,15 @@ class ArgParser {
   }
 
  private:
+  /// Whole-string base-10 conversion: no sign for unsigned types, no
+  /// whitespace, no trailing characters, no overflow.
+  template <typename T>
+  static bool parseInteger(std::string_view text, T& out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc{} && ptr == end;
+  }
+
   [[noreturn]] static void usageError(const char* name, const char* expected,
                                       const std::string& got) {
     std::fprintf(stderr, "%s expects %s, got '%s'\n", name, expected,

@@ -3,15 +3,8 @@
 // CentroidData / GravityVisitor pair. Integrates with leapfrog
 // (kick-drift-kick) and reports energy conservation per step.
 //
-// Usage: gravity_sim [n_particles] [n_steps] [n_procs] [workers]
-//                    [--checkpoint-every=K] [--checkpoint-dir=<path>]
-//                    [--checkpoint-keep=K] [--resume] [--fault-torn-write]
-//                    [--crash-at-step=N]
-//                    [--wedge-at-step=N] [--heartbeat-ms=T]
-//                    [--recovery-mode=restart|shrink] [--chaos-seed=<n>]
-//                    [--transport=inproc|tcp] [--final-out=<snap>]
-//                    [--fetch-depth=D] [--subtrees=S] [--partitions=P]
-//                    [--bucket-size=B] [--seed=N]
+// Usage: see kUsage below (`gravity_sim --help` prints it). The four
+// positionals must be positive integers; unknown flags exit 2.
 //
 // --checkpoint-every / --crash-at-step exercise the rank-crash fault
 // tolerance: one seeded rank dies mid-iteration N and, with
@@ -49,6 +42,25 @@
 #include "util/timer.hpp"
 
 using namespace paratreet;
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: gravity_sim [n_particles] [n_steps] [n_procs] [workers]\n"
+    "                   [--checkpoint-every=K] [--checkpoint-dir=<path>]\n"
+    "                   [--checkpoint-keep=K] [--resume] [--fault-torn-write]\n"
+    "                   [--crash-at-step=N] [--wedge-at-step=N]\n"
+    "                   [--heartbeat-ms=T] [--miss-threshold=N]\n"
+    "                   [--recovery-mode=restart|shrink] [--max-restarts=N]\n"
+    "                   [--drain-deadline-ms=T] [--chaos-seed=<n>]\n"
+    "                   [--fault-drop=<p>] [--fault-corrupt=<p>]\n"
+    "                   [--transport=inproc|tcp] [--tcp-host=<ip>]\n"
+    "                   [--tcp-port=<n>] [--final-out=<snap>]\n"
+    "                   [--fetch-depth=D] [--subtrees=S] [--partitions=P]\n"
+    "                   [--bucket-size=B] [--seed=N]\n"
+    "defaults: 5000 particles, 10 steps, 2 procs x 2 workers\n";
+
+}  // namespace
 
 class GravityMain : public Driver<CentroidData, OctTreeType> {
  public:
@@ -118,21 +130,24 @@ class GravityMain : public Driver<CentroidData, OctTreeType> {
 int main(int argc, char** argv) {
   Configuration cli;
   bench::ArgParser args(argc, argv);
+  if (args.help()) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   cli.fault = args.chaos();
   args.checkpointInto(cli);
   cli.transport = args.transport();
   std::string final_out;
   args.flag("--final-out=", final_out);
-  std::string shape;
   int subtrees = 8, partitions = 16, bucket = 12;
-  if (args.flag("--subtrees=", shape)) subtrees = std::atoi(shape.c_str());
-  if (args.flag("--partitions=", shape)) partitions = std::atoi(shape.c_str());
-  if (args.flag("--bucket-size=", shape)) bucket = std::atoi(shape.c_str());
+  args.integerFlag("--subtrees=", subtrees, 1);
+  args.integerFlag("--partitions=", partitions, 1);
+  args.integerFlag("--bucket-size=", bucket, 1);
   // Initial-conditions seed: different seeds give different Plummer
   // realizations (and different compatibility hashes, so a --resume
   // against checkpoints from another seed is rejected).
   std::uint64_t ic_seed = 1;
-  if (args.flag("--seed=", shape)) ic_seed = std::strtoull(shape.c_str(), nullptr, 10);
+  args.integerFlag("--seed=", ic_seed, std::uint64_t{0});
   if (cli.fault.wedge_step >= 0 && cli.transport.heartbeat_interval_ms <= 0.0) {
     // A wedged rank never EOFs; only heartbeats can notice it. Default
     // them on so the demo recovers instead of riding the 30 s watchdog
@@ -140,10 +155,11 @@ int main(int argc, char** argv) {
     cli.transport.heartbeat_interval_ms = 100.0;
     cli.transport.miss_threshold = 3;
   }
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 10;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  args.rejectLeftovers(4);
+  const auto n = args.positional<std::size_t>(1, "n_particles", 5000);
+  const int steps = args.positional(2, "n_steps", 10);
+  const int procs = args.positional(3, "n_procs", 2);
+  const int workers = args.positional(4, "workers", 2);
 
   rts::Runtime::Config rt_config;
   rt_config.n_procs = procs;

@@ -337,8 +337,9 @@ class ChangaSolver {
         stats_.boundary_nodes.fetch_add(records.size(),
                                         std::memory_order_relaxed);
         const std::size_t bytes = records.size() * sizeof(BoundaryRecord);
-        rt_.send(p, 0, bytes, [records = std::move(records), reduced,
-                               reduce_mutex] {
+        rt_.send({.from = p, .to = 0, .bytes = bytes,
+                  .on_receive = [records = std::move(records), reduced,
+                                 reduce_mutex] {
           std::lock_guard lock(*reduce_mutex);
           for (const auto& rec : records) {
             auto [it, inserted] = reduced->try_emplace(rec.key, rec);
@@ -347,7 +348,7 @@ class ChangaSolver {
               it->second.child_mask |= rec.child_mask;
             }
           }
-        });
+        }});
       });
     }
     rt_.drain();
@@ -355,7 +356,8 @@ class ChangaSolver {
     // Broadcast the completed boundary table.
     const std::size_t bytes = reduced->size() * sizeof(BoundaryRecord);
     for (int p = 0; p < P; ++p) {
-      rt_.send(0, p, p == 0 ? 0 : bytes, [this, p, reduced] {
+      rt_.send({.from = 0, .to = p, .bytes = p == 0 ? 0 : bytes,
+                .on_receive = [this, p, reduced] {
         auto& ps = *procs_[static_cast<std::size_t>(p)];
         std::unique_lock lock(ps.table_mutex);
         for (const auto& [key, rec] : *reduced) {
@@ -364,7 +366,7 @@ class ChangaSolver {
           node.child_mask = rec.child_mask;
           node.is_leaf = false;  // boundary nodes span pieces
         }
-      });
+      }});
     }
     rt_.drain();
   }
@@ -413,10 +415,11 @@ class ChangaSolver {
     if (!first) return;
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
     const int owner = ownerOf(key);
-    rt_.send(proc, owner, sizeof(Key) + 2 * sizeof(int),
-             [this, proc, owner, key, worker] {
-               serveFetch(owner, key, proc, worker);
-             });
+    rt_.send({.from = proc, .to = owner,
+              .bytes = sizeof(Key) + 2 * sizeof(int),
+              .on_receive = [this, proc, owner, key, worker] {
+                serveFetch(owner, key, proc, worker);
+              }});
   }
 
   struct FetchRecord {
@@ -431,8 +434,9 @@ class ChangaSolver {
     for (const auto& r : *records) {
       bytes += sizeof(FetchRecord) + r.node.particles.size() * sizeof(Particle);
     }
-    rt_.send(owner, requester, bytes, [this, requester, key, worker, records,
-                                       bytes] {
+    rt_.send({.from = owner, .to = requester, .bytes = bytes,
+              .on_receive = [this, requester, key, worker, records,
+                             bytes] {
       stats_.fills.fetch_add(1, std::memory_order_relaxed);
       stats_.response_bytes.fetch_add(bytes, std::memory_order_relaxed);
       auto& ps = *procs_[static_cast<std::size_t>(requester)];
@@ -455,7 +459,7 @@ class ChangaSolver {
         }
       }
       for (auto& resume : waiters) rt_.enqueue(requester, std::move(resume));
-    });
+    }});
   }
 
   /// BFS-serialize the region under `key` down to fetch_depth.

@@ -4,8 +4,8 @@
 #include <cstring>
 
 #include "core/interaction_list.hpp"
+#include "observability/trace.hpp"
 #include "tree/node.hpp"
-#include "util/timer.hpp"
 
 namespace paratreet {
 
@@ -99,7 +99,7 @@ class BatchEvaluator {
     if constexpr (!node_hook && !leaf_hook) {
       // No batch kernels: replay the callbacks in recorded order, which
       // reproduces the inline visitor path bitwise.
-      WallTimer timer;
+      obs::TimedScope timed({.into = {&totals_.replay_seconds}});
       list.forEachRecorded(arena_, [&](bool is_leaf, const Node<Data>& node) {
         if (is_leaf) {
           visitor_.leaf(SpatialNode<Data>::of(node), target);
@@ -107,12 +107,11 @@ class BatchEvaluator {
           visitor_.node(SpatialNode<Data>::of(node), target);
         }
       });
-      totals_.replay_seconds += timer.seconds();
       return;
     }
     const SoaTargets tgt = gatherTargets(target, b);
     {
-      WallTimer timer;
+      obs::TimedScope timed({.into = {&totals_.node_seconds}});
       if constexpr (node_hook) {
         if (list.nodeCount() > 0) {
           const int n = gatherNodes(list);
@@ -123,10 +122,9 @@ class BatchEvaluator {
           if (!is_leaf) visitor_.node(SpatialNode<Data>::of(node), target);
         });
       }
-      totals_.node_seconds += timer.seconds();
     }
     {
-      WallTimer timer;
+      obs::TimedScope timed({.into = {&totals_.leaf_seconds}});
       if constexpr (leaf_hook) {
         if (list.directSources() > 0) {
           visitor_.leafBatch(gatherSources(list), target, tgt);
@@ -136,7 +134,6 @@ class BatchEvaluator {
           if (is_leaf) visitor_.leaf(SpatialNode<Data>::of(node), target);
         });
       }
-      totals_.leaf_seconds += timer.seconds();
     }
   }
 

@@ -15,7 +15,6 @@
 #include "core/config.hpp"
 #include "core/serialization.hpp"
 #include "observability/instrumentation.hpp"
-#include "rts/profiler.hpp"
 #include "rts/runtime.hpp"
 #include "tree/arena.hpp"
 #include "tree/node.hpp"
@@ -291,7 +290,7 @@ class CacheManager {
   /// arrived concurrently, `resume` is enqueued immediately.
   void requestThenResume(Node<Data>* ph, std::function<void()> resume,
                          int worker_slot) {
-    rts::ActivityScope scope(opts_.instr.profiler, rts::Activity::kCacheRequest);
+    obs::TimedScope scope(opts_.instr.activity(rts::Activity::kCacheRequest));
     stats_.pauses.fetch_add(1, std::memory_order_relaxed);
     bump(metrics_.pauses);
     if (opts_.model == CacheModel::kPerThread) {
@@ -469,7 +468,7 @@ class CacheManager {
   void serveRequest(Key key, int requester, CacheManager* req_cache,
                     Node<Data>* ph, int worker_slot,
                     std::uint64_t fetch_id = 0, int attempt = 0) {
-    rts::ActivityScope scope(opts_.instr.profiler, rts::Activity::kCacheRequest);
+    obs::TimedScope scope(opts_.instr.activity(rts::Activity::kCacheRequest));
     stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
     bump(metrics_.requests_served);
     if (auto* inj = rt_->faultInjector();
@@ -542,11 +541,13 @@ class CacheManager {
   /// least busy by the runtime.
   void handleResponse(std::shared_ptr<ResponseBlock<Data>> block,
                       Node<Data>* ph, int worker_slot, std::size_t bytes) {
-    rts::ActivityScope scope(opts_.instr.profiler,
-                             rts::Activity::kCacheInsertion);
-    obs::TraceSpan span(opts_.instr.trace, "cache.fill", "cache",
-                        rts::Runtime::currentProc(),
-                        rts::Runtime::currentWorker());
+    obs::TimedScope scope({.trace = opts_.instr.trace,
+                           .name = "cache.fill",
+                           .category = "cache",
+                           .proc = rts::Runtime::currentProc(),
+                           .worker = rts::Runtime::currentWorker(),
+                           .profiler = opts_.instr.profiler,
+                           .activity = rts::Activity::kCacheInsertion});
     stats_.fills.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes_received.fetch_add(bytes, std::memory_order_relaxed);
     bump(metrics_.fills);

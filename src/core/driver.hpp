@@ -16,7 +16,6 @@
 #include "observability/instrumentation.hpp"
 #include "rts/checkpoint.hpp"
 #include "util/snapshot.hpp"
-#include "util/timer.hpp"
 
 namespace paratreet {
 
@@ -90,8 +89,7 @@ class Driver {
     if (auto err = conf.validate(); !err.empty()) {
       throw std::invalid_argument(err);
     }
-    if (instr.metrics != nullptr) rt.attachMetrics(instr.metrics);
-    if (instr.trace != nullptr) rt.attachTrace(instr.trace);
+    const AttachedSinks attached(rt, instr);
     // A scheduled rank crash or wedge is only *detectable* through the
     // drain watchdog, so arm it with a generous default when the app
     // didn't. (Heartbeats turn a wedge into a crash, but the drain still
@@ -113,25 +111,22 @@ class Driver {
     const bool ckpt_on = conf.checkpoint_every > 0;
     rts::CheckpointStore store;
     if (ckpt_on) store.init(&rt, instr.metrics);
-    obs::Gauge* ckpt_seconds = nullptr;
-    obs::Gauge* recovery_seconds = nullptr;
     obs::Counter* rec_restart = nullptr;
     obs::Counter* rec_shrink = nullptr;
     obs::Counter* rec_escalated = nullptr;
     obs::Counter* disk_bytes = nullptr;
-    obs::Gauge* disk_seconds = nullptr;
     obs::Counter* cold_restarts = nullptr;
     if (instr.metrics != nullptr) {
       // Registered up front so fault-free reports still show the
       // checkpoint/recovery instruments, pinned at zero.
       instr.metrics->counter("checkpoint.bytes");
-      ckpt_seconds = &instr.metrics->gauge("checkpoint.seconds");
-      recovery_seconds = &instr.metrics->gauge("recovery.seconds");
+      instr.metrics->gauge("checkpoint.seconds");
+      instr.metrics->gauge("recovery.seconds");
       rec_restart = &instr.metrics->counter("rts.recoveries.restart");
       rec_shrink = &instr.metrics->counter("rts.recoveries.shrink");
       rec_escalated = &instr.metrics->counter("rts.recoveries.escalated");
       disk_bytes = &instr.metrics->counter("checkpoint.disk_bytes");
-      disk_seconds = &instr.metrics->gauge("checkpoint.disk_seconds");
+      instr.metrics->gauge("checkpoint.disk_seconds");
       cold_restarts = &instr.metrics->counter("recovery.cold_restarts");
     }
 
@@ -183,9 +178,8 @@ class Driver {
       // disk write — that generation already exists on disk, and
       // re-persisting it would garbage-collect its older sibling.
       const int base = recovered.has_value() ? recovered->step : -1;
-      checkpoint(store, instr, base, /*from_subtrees=*/true, ckpt_seconds,
-                 recovered.has_value() ? nullptr : disk, disk_bytes,
-                 disk_seconds);
+      checkpoint(store, instr, base, /*from_subtrees=*/true,
+                 recovered.has_value() ? nullptr : disk, disk_bytes);
     }
 
     // A scheduled crash/wedge fires exactly once, even though recovery
@@ -234,8 +228,8 @@ class Driver {
         // reproduces exactly what flush() would have seen.
         if (ckpt_on && (iter + 1) % conf.checkpoint_every == 0 &&
             iter + 1 < conf.num_iterations) {
-          checkpoint(store, instr, iter, /*from_subtrees=*/false,
-                     ckpt_seconds, disk, disk_bytes, disk_seconds);
+          checkpoint(store, instr, iter, /*from_subtrees=*/false, disk,
+                     disk_bytes);
         }
         if (iter + 1 < conf.num_iterations) forest_->flush();
         ++iter;
@@ -254,8 +248,6 @@ class Driver {
         if (dead.empty() || !ckpt_on) {
           // A genuine hang (or a crash with checkpointing disabled):
           // nothing to recover from — surface the diagnostic.
-          if (instr.metrics != nullptr) rt.attachMetrics(nullptr);
-          if (instr.trace != nullptr) rt.attachTrace(nullptr);
           throw;
         }
         if (conf.recovery.max_recoveries >= 0 &&
@@ -274,8 +266,8 @@ class Driver {
               " crashed again — giving up instead of looping");
         }
         ++recoveries_done;
-        WallTimer timer;
-        obs::TraceSpan span(instr.trace, "recovery", "driver");
+        obs::TimedScope recovery(
+            instr.phase("recovery", "driver", "recovery.seconds"));
         bool restart = conf.recovery_mode == RecoveryMode::kRestart;
         if (restart) {
           // Charge each dead rank's restart budget; the worst offender's
@@ -290,12 +282,7 @@ class Driver {
             restart = false;
             if (rec_escalated != nullptr) rec_escalated->add(1);
             if (instr.trace != nullptr) {
-              obs::TraceEvent ev;
-              ev.name = "recovery.escalated";
-              ev.category = "fault";
-              ev.start_us = instr.trace->sinceOriginUs(
-                  std::chrono::steady_clock::now());
-              instr.trace->record(ev);
+              instr.trace->instant("recovery.escalated", "fault", -1, -1);
             }
           } else if (conf.recovery.restart_backoff_ms > 0.0) {
             // Exponential backoff on the worst streak, capped at 8x.
@@ -322,11 +309,8 @@ class Driver {
         }
         forest_->restoreFromChunks(store.assemble(step));
         iter = step + 1;
-        if (recovery_seconds != nullptr) recovery_seconds->add(timer.seconds());
       }
     }
-    if (instr.metrics != nullptr) rt.attachMetrics(nullptr);
-    if (instr.trace != nullptr) rt.attachTrace(nullptr);
   }
 
   /// The engine; valid during and after run().
@@ -365,6 +349,28 @@ class Driver {
   }
 
  private:
+  /// Points the runtime at the caller's metrics registry and trace buffer
+  /// for the length of run(), and detaches them on every exit — thrown
+  /// ones included — so the runtime never outlives its view of them.
+  class AttachedSinks {
+   public:
+    AttachedSinks(rts::Runtime& rt, const Instrumentation& instr)
+        : rt_(rt), instr_(instr) {
+      if (instr_.metrics != nullptr) rt_.attachMetrics(instr_.metrics);
+      if (instr_.trace != nullptr) rt_.attachTrace(instr_.trace);
+    }
+    AttachedSinks(const AttachedSinks&) = delete;
+    AttachedSinks& operator=(const AttachedSinks&) = delete;
+    ~AttachedSinks() {
+      if (instr_.metrics != nullptr) rt_.attachMetrics(nullptr);
+      if (instr_.trace != nullptr) rt_.attachTrace(nullptr);
+    }
+
+   private:
+    rts::Runtime& rt_;
+    Instrumentation instr_;
+  };
+
   /// One checkpoint generation: gather + commit on every live rank,
   /// drain out the buddy copies, seal. A crash mid-checkpoint throws out
   /// of checkpointTo()'s drain before seal() — the half-written
@@ -372,25 +378,21 @@ class Driver {
   /// generation is then persisted crash-consistently (verbatim chunks +
   /// manifest, tmp-then-rename).
   void checkpoint(rts::CheckpointStore& store, const Instrumentation& instr,
-                  int step, bool from_subtrees,
-                  obs::Gauge* seconds, rts::DurableStore* disk,
-                  obs::Counter* disk_bytes, obs::Gauge* disk_seconds) {
-    obs::TraceSpan span(instr.trace, "checkpoint", "driver");
-    WallTimer timer;
+                  int step, bool from_subtrees, rts::DurableStore* disk,
+                  obs::Counter* disk_bytes) {
+    obs::TimedScope scope(
+        instr.phase("checkpoint", "driver", "checkpoint.seconds"));
     forest_->checkpointTo(store, step, from_subtrees);
     store.seal(step);
     if (disk != nullptr) {
-      obs::TraceSpan persist_span(instr.trace, "checkpoint.persist",
-                                  "driver");
-      WallTimer disk_timer;
+      obs::TimedScope persist(instr.phase(
+          "checkpoint.persist", "driver", "checkpoint.disk_seconds"));
       const auto chunks = store.assemble(step);
       const std::uint64_t bytes = disk->persist(
           step, chunks,
           static_cast<std::uint64_t>(forest_->particleCount()));
       if (disk_bytes != nullptr) disk_bytes->add(bytes);
-      if (disk_seconds != nullptr) disk_seconds->add(disk_timer.seconds());
     }
-    if (seconds != nullptr) seconds->add(timer.seconds());
   }
 
   std::unique_ptr<Forest<Data, TreeTypeT>> forest_;

@@ -120,15 +120,15 @@ class DualTreeTraverser final : public TraverserBase {
  public:
   DualTreeTraverser(Partition<Data>& partition, CacheManager<Data>& cache,
                     rts::Runtime& rt, Visitor visitor = {},
-                    rts::ActivityProfiler* profiler = nullptr)
+                    Instrumentation instr = {})
       : partition_(partition), cache_(cache), rt_(rt),
-        visitor_(std::move(visitor)), profiler_(profiler),
+        visitor_(std::move(visitor)), instr_(instr),
         targets_(partition) {}
 
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
-    LoadScope<Data> load(partition_);
+    obs::TimedScope scope(instr_.activity(rts::Activity::kLocalTraversal,
+                                          &partition_.measured_load));
     if (targets_.empty()) return;
     dual(cache_.root(), targets_.root());
   }
@@ -220,10 +220,9 @@ class DualTreeTraverser final : public TraverserBase {
                   : parent != nullptr ? findChildByKey(parent, key)
                                       : cache_.root();
               assert(fresh != nullptr && !fresh->placeholder());
-              rts::ActivityScope scope(profiler_,
-                                       rts::Activity::kRemoteTraversal);
               std::lock_guard run(partition_.run_mutex);
-              LoadScope<Data> load(partition_);
+              obs::TimedScope scope(instr_.activity(
+                  rts::Activity::kRemoteTraversal, &partition_.measured_load));
               singleTarget(fresh, b);
             },
             slot);
@@ -238,7 +237,7 @@ class DualTreeTraverser final : public TraverserBase {
   CacheManager<Data>& cache_;
   rts::Runtime& rt_;
   Visitor visitor_;
-  rts::ActivityProfiler* profiler_;
+  Instrumentation instr_;
   TargetTree<Data> targets_;
 };
 

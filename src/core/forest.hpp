@@ -23,12 +23,10 @@
 #include "decomp/runtime_parallel.hpp"
 #include "observability/instrumentation.hpp"
 #include "rts/checkpoint.hpp"
-#include "rts/profiler.hpp"
 #include "rts/runtime.hpp"
 #include "tree/tree_types.hpp"
 #include "tree/validate.hpp"
 #include "util/distributions.hpp"
-#include "util/timer.hpp"
 
 namespace paratreet {
 
@@ -115,8 +113,9 @@ class Forest {
   /// on the worker runtime. Its piece assignments are identical to the
   /// serial full-sort Decomposition::findSplitters() reference.
   void decompose() {
-    WallTimer timer;
-    obs::TraceSpan span(instr_.trace, "decompose", "phase");
+    obs::TimedScope phase(instr_.phase("decompose", "phase",
+                                       "phase.decompose_seconds",
+                                       &times_.decompose));
     // Chares are placed over the *live* ranks only: on a fault-free run
     // this is every rank (placeOf degenerates to the plain block map),
     // after a shrink recovery the dead ranks drop out.
@@ -155,9 +154,8 @@ class Forest {
     subtree_decomp_ = makeDecomposition(conf_.subtreeDecomp());
     int n_parts, n_subtrees;
     {
-      WallTimer splitter_timer;
-      obs::TraceSpan splitter_span(instr_.trace, "decompose.splitters",
-                                   "phase");
+      obs::TimedScope splitters(instr_.phase(
+          "decompose.splitters", "phase", "decompose.histogram_seconds"));
       // Both decompositions count over the same keys, so the sorted
       // scratch (the expensive part) is built once and shared.
       decomp::SortedKeyScratch scratch(std::span<const Particle>(particles_),
@@ -170,7 +168,6 @@ class Forest {
           std::span<Particle>(particles_), universe_, conf_.min_subtrees,
           Decomposition::Target::kSubtree, worker_par,
           Decomposition::kSplitterProbes, &scratch);
-      emitGauge("decompose.histogram_seconds", splitter_timer.seconds());
     }
     auto regions = subtree_decomp_->regions();
     assert(static_cast<int>(regions.size()) == n_subtrees);
@@ -210,23 +207,17 @@ class Forest {
       st->region = regions[static_cast<std::size_t>(i)];
       subtrees_.push_back(std::move(st));
     }
-    {
-      WallTimer scatter_timer;
-      obs::TraceSpan scatter_span(instr_.trace, "decompose.scatter", "phase");
-      scatterParallel(worker_par, chunks, n_subtrees);
-      emitGauge("decompose.scatter_seconds", scatter_timer.seconds());
-    }
-    const double seconds = timer.seconds();
-    times_.decompose += seconds;
-    emitPhase("decompose", seconds);
+    obs::TimedScope scatter(instr_.phase("decompose.scatter", "phase",
+                                         "decompose.scatter_seconds"));
+    scatterParallel(worker_par, chunks, n_subtrees);
   }
 
   /// Tree build + cache setup + leaf sharing, all on the workers.
   /// Idempotent per decomposition: re-building clears the previous
   /// build's buckets and caches first.
   void build() {
-    WallTimer timer;
-    obs::TraceSpan span(instr_.trace, "build", "phase");
+    obs::TimedScope phase(instr_.phase("build", "phase", "phase.build_seconds",
+                                       &times_.build));
     split_buckets_ = 0;
     // New build epoch: bucket identities (and hence the persistent target
     // gathers keyed by the epoch) are invalidated.
@@ -256,7 +247,7 @@ class Forest {
     for (auto& stp : subtrees_) {
       Subtree<Data>* st = stp.get();
       rt_.enqueue(st->home_proc, [this, st] {
-        rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
+        obs::TimedScope scope(instr_.activity(rts::Activity::kTreeBuild));
         st->build(tree_type_, conf_.bucket_size);
         caches_[static_cast<std::size_t>(st->home_proc)].insertLocalRoot(
             st->root->key, st->root);
@@ -271,10 +262,11 @@ class Forest {
     const std::size_t bytes = records.size() * sizeof(RootRecord<Data>);
     for (int p = 0; p < rt_.numProcs(); ++p) {
       if (!rt_.rankAlive(p)) continue;
-      rt_.send(0, p, p == 0 ? 0 : bytes, [this, p, records] {
-        rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
+      rt_.send({.from = 0, .to = p, .bytes = p == 0 ? 0 : bytes,
+                .on_receive = [this, p, records] {
+        obs::TimedScope scope(instr_.activity(rts::Activity::kTreeBuild));
         caches_[static_cast<std::size_t>(p)].buildUpperTree(records, universe_);
-      });
+      }});
     }
     rt_.drain();
 
@@ -286,16 +278,18 @@ class Forest {
       for (auto& stp : subtrees_) {
         Subtree<Data>* st = stp.get();
         rt_.enqueue(st->home_proc, [this, st, levels] {
-          rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
+          obs::TimedScope scope(instr_.activity(rts::Activity::kTreeBuild));
           auto block = std::make_shared<ResponseBlock<Data>>(
               serializeRegion(st->root, levels));
           for (int p = 0; p < rt_.numProcs(); ++p) {
             if (p == st->home_proc || !rt_.rankAlive(p)) continue;
-            rt_.send(st->home_proc, p, block->byteSize(), [this, p, block] {
-              rts::ActivityScope insert_scope(instr_.profiler,
-                                              rts::Activity::kTreeBuild);
+            rt_.send({.from = st->home_proc, .to = p,
+                      .bytes = block->byteSize(),
+                      .on_receive = [this, p, block] {
+              obs::TimedScope insert_scope(
+                  instr_.activity(rts::Activity::kTreeBuild));
               caches_[static_cast<std::size_t>(p)].preload(*block);
-            });
+            }});
           }
         });
       }
@@ -304,21 +298,17 @@ class Forest {
 
     // 3. Leaf sharing: Subtrees hand their buckets to Partitions,
     //    splitting only the buckets whose particles span Partitions.
-    WallTimer share_timer;
+    obs::TimedScope share({.metrics = instr_.metrics,
+                           .gauge = "phase.leaf_share_seconds",
+                           .into = {&times_.leaf_share}});
     for (auto& stp : subtrees_) {
       Subtree<Data>* st = stp.get();
       rt_.enqueue(st->home_proc, [this, st] {
-        rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
+        obs::TimedScope scope(instr_.activity(rts::Activity::kTreeBuild));
         shareLeaves(*st);
       });
     }
     rt_.drain();
-    const double share_seconds = share_timer.seconds();
-    times_.leaf_share += share_seconds;
-    const double seconds = timer.seconds();
-    times_.build += seconds;
-    emitPhase("build", seconds);
-    emitPhase("leaf_share", share_seconds);
   }
 
   /// Run a top-down traversal with visitor `V` over every Partition and
@@ -331,8 +321,9 @@ class Forest {
   void traverse(V visitor = {},
                 TraversalStyle style = TraversalStyle::kTransposed,
                 EvalKernel kernel = EvalKernel::kVisitor) {
-    WallTimer timer;
-    obs::TraceSpan span(instr_.trace, "traverse.top_down", "traversal");
+    obs::TimedScope phase(instr_.phase("traverse.top_down", "traversal",
+                                       "phase.traverse_seconds",
+                                       &times_.traverse));
     // Traversers live in a member, not a local: if the drain watchdog
     // throws (rank crash), stale resume closures still queued on live
     // ranks must keep pointing at live traversers until abortTraversals().
@@ -350,11 +341,6 @@ class Forest {
     rt_.drain();
     finishTraversers(active_traversers_);
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Run an up-and-down traversal (k-nearest-neighbour style). The
@@ -364,8 +350,9 @@ class Forest {
   template <typename V>
   void traverseUpAndDown(V visitor = {},
                          EvalKernel kernel = EvalKernel::kVisitor) {
-    WallTimer timer;
-    obs::TraceSpan span(instr_.trace, "traverse.up_and_down", "traversal");
+    obs::TimedScope phase(instr_.phase("traverse.up_and_down", "traversal",
+                                       "phase.traverse_seconds",
+                                       &times_.traverse));
     active_traversers_.clear();
     active_traversers_.reserve(partitions_.size());
     for (auto& pp : partitions_) {
@@ -380,37 +367,28 @@ class Forest {
     rt_.drain();
     finishTraversers(active_traversers_);
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Run a dual-tree traversal with visitor `V` (cell()-driven) over
   /// every Partition and wait for completion.
   template <typename V>
   void traverseDualTree(V visitor = {}) {
-    WallTimer timer;
-    obs::TraceSpan span(instr_.trace, "traverse.dual_tree", "traversal");
+    obs::TimedScope phase(instr_.phase("traverse.dual_tree", "traversal",
+                                       "phase.traverse_seconds",
+                                       &times_.traverse));
     active_traversers_.clear();
     active_traversers_.reserve(partitions_.size());
     for (auto& pp : partitions_) {
       Partition<Data>* part = pp.get();
       auto trav = std::make_unique<DualTreeTraverser<Data, V>>(
           *part, caches_[static_cast<std::size_t>(part->home_proc)], rt_,
-          visitor, instr_.profiler);
+          visitor, instr_);
       auto* raw = trav.get();
       active_traversers_.push_back(std::move(trav));
       rt_.enqueue(part->home_proc, [raw] { raw->start(); });
     }
     rt_.drain();
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Run a best-first (priority-driven) traversal with visitor `V` over
@@ -418,26 +396,22 @@ class Forest {
   /// describes for e.g. ray tracing.
   template <typename V>
   void traversePriority(V visitor = {}) {
-    WallTimer timer;
-    obs::TraceSpan span(instr_.trace, "traverse.priority", "traversal");
+    obs::TimedScope phase(instr_.phase("traverse.priority", "traversal",
+                                       "phase.traverse_seconds",
+                                       &times_.traverse));
     active_traversers_.clear();
     active_traversers_.reserve(partitions_.size());
     for (auto& pp : partitions_) {
       Partition<Data>* part = pp.get();
       auto trav = std::make_unique<PriorityTraverser<Data, V>>(
           *part, caches_[static_cast<std::size_t>(part->home_proc)], rt_,
-          visitor, instr_.profiler);
+          visitor, instr_);
       auto* raw = trav.get();
       active_traversers_.push_back(std::move(trav));
       rt_.enqueue(part->home_proc, [raw] { raw->start(); });
     }
     rt_.drain();
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Measured traversal load of every Partition (seconds, last
@@ -742,21 +716,6 @@ class Forest {
     });
   }
 
-  /// Accumulate one phase duration into the registry gauge
-  /// "phase.<name>_seconds". Once-per-phase, so the registry lookup
-  /// (mutexed) is off the hot path; no-op without a registry.
-  void emitPhase(const char* name, double seconds) {
-    if (instr_.metrics == nullptr) return;
-    instr_.metrics->gauge(std::string("phase.") + name + "_seconds")
-        .add(seconds);
-  }
-
-  /// Like emitPhase but with the verbatim gauge name.
-  void emitGauge(const char* name, double seconds) {
-    if (instr_.metrics == nullptr) return;
-    instr_.metrics->gauge(name).add(seconds);
-  }
-
   /// Block placement of chare `i` of `n` onto the live processes (all of
   /// them on a fault-free run — then this is i * procs / n exactly).
   int placeOf(int i, int n) const {
@@ -797,9 +756,10 @@ class Forest {
                                     bucket.particles.size() * sizeof(Particle);
           auto shared = std::make_shared<Bucket<Data>>(std::move(bucket));
           Partition<Data>* tp = &target;
-          rt_.send(st.home_proc, target.home_proc, bytes, [tp, shared] {
+          rt_.send({.from = st.home_proc, .to = target.home_proc,
+                    .bytes = bytes, .on_receive = [tp, shared] {
             tp->addBucket(std::move(*shared));
-          });
+          }});
         }
       }
     });

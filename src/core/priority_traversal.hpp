@@ -9,7 +9,6 @@
 #include "core/cache.hpp"
 #include "core/partition.hpp"
 #include "core/traversal.hpp"
-#include "rts/profiler.hpp"
 
 namespace paratreet {
 
@@ -30,14 +29,14 @@ class PriorityTraverser final : public TraverserBase {
  public:
   PriorityTraverser(Partition<Data>& partition, CacheManager<Data>& cache,
                     rts::Runtime& rt, Visitor visitor = {},
-                    rts::ActivityProfiler* profiler = nullptr)
+                    Instrumentation instr = {})
       : partition_(partition), cache_(cache), rt_(rt),
-        visitor_(std::move(visitor)), profiler_(profiler) {}
+        visitor_(std::move(visitor)), instr_(instr) {}
 
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
-    LoadScope<Data> load(partition_);
+    obs::TimedScope scope(instr_.activity(rts::Activity::kLocalTraversal,
+                                          &partition_.measured_load));
     for (std::uint32_t b = 0; b < partition_.buckets.size(); ++b) {
       Frontier frontier;
       push(frontier, cache_.root(), b);
@@ -114,9 +113,9 @@ class PriorityTraverser final : public TraverserBase {
               : parent != nullptr ? findChildByKey(parent, key)
                                   : cache_.root();
           assert(fresh != nullptr && !fresh->placeholder());
-          rts::ActivityScope scope(profiler_, rts::Activity::kRemoteTraversal);
           std::lock_guard run(partition_.run_mutex);
-          LoadScope<Data> load(partition_);
+          obs::TimedScope scope(instr_.activity(
+              rts::Activity::kRemoteTraversal, &partition_.measured_load));
           push(*state, fresh, b);
           drain(std::move(*state), b);
         },
@@ -127,7 +126,7 @@ class PriorityTraverser final : public TraverserBase {
   CacheManager<Data>& cache_;
   rts::Runtime& rt_;
   Visitor visitor_;
-  rts::ActivityProfiler* profiler_;
+  Instrumentation instr_;
 };
 
 }  // namespace paratreet

@@ -12,8 +12,6 @@
 #include "core/interaction_list.hpp"
 #include "core/partition.hpp"
 #include "observability/instrumentation.hpp"
-#include "util/timer.hpp"
-#include "rts/profiler.hpp"
 #include "rts/runtime.hpp"
 #include "tree/node.hpp"
 #include "util/small_vector.hpp"
@@ -60,20 +58,6 @@ enum class TraversalStyle {
 /// List of target bucket indices a traversal frontier carries.
 using TargetList = SmallVector<std::uint32_t, 8>;
 
-/// Accumulates the enclosing scope's wall time into a Partition's
-/// measured load. Construct *after* taking the partition's run_mutex so
-/// lock waiting is not billed as work.
-template <typename Data>
-class LoadScope {
- public:
-  explicit LoadScope(Partition<Data>& partition) : partition_(partition) {}
-  ~LoadScope() { partition_.measured_load += timer_.seconds(); }
-
- private:
-  Partition<Data>& partition_;
-  WallTimer timer_;
-};
-
 /// Find a node's child holding `key` (used to re-locate a fetched node
 /// after its placeholder was swapped out).
 template <typename Data>
@@ -112,19 +96,14 @@ class InteractionRecorder {
 
   bool batched() const { return kernel_ == EvalKernel::kBatched; }
 
-  /// Accumulates enclosing-scope wall time into the record phase (the
-  /// walk side of the record/drain breakdown). No-op for kVisitor.
-  class RecordScope {
-   public:
-    explicit RecordScope(InteractionRecorder& r) : r_(r) {}
-    ~RecordScope() {
-      if (r_.batched()) r_.record_seconds_ += timer_.seconds();
-    }
-
-   private:
-    InteractionRecorder& r_;
-    WallTimer timer_;
-  };
+  /// A walk task's one interval (seed or resumed continuation; open it
+  /// after taking the run_mutex so lock waits are not billed as work):
+  /// the Fig 9 activity, the Partition's measured load and, batched only,
+  /// the record side of the record/drain breakdown.
+  obs::TimedScope::Sinks walkSinks(rts::Activity a) {
+    return instr_.activity(a, &partition_.measured_load,
+                           batched() ? &record_seconds_ : nullptr);
+  }
 
   /// Reset the per-traversal state; call once the buckets are known (seed
   /// task), before any interaction lands. Lists/arena/scratch live on the
@@ -212,15 +191,16 @@ class InteractionRecorder {
   /// gauges and interaction counters. Caller holds the run_mutex.
   void finish() {
     if (batched() && !partition_.interaction_lists.empty()) {
-      rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
-      LoadScope<Data> load(partition_);
-      obs::TraceSpan span(instr_.trace, "kernel.batch_eval", "kernel");
-      WallTimer timer;
-      for (std::uint32_t b = 0; b < drained_.size(); ++b) {
-        if (drained_[b] == 0) drainBucket(b);
+      {
+        obs::TimedScope scope(drainSinks("kernel.batch_eval",
+                                         &finish_drain_seconds_));
+        for (std::uint32_t b = 0; b < drained_.size(); ++b) {
+          if (drained_[b] == 0) drainBucket(b);
+        }
+        traceKernelPhases(evaluator_->totals());
       }
-      finish_drain_seconds_ += timer.seconds();
-      emitKernelPhases(evaluator_->totals());
+      // After the scope closed, so finish_drain_seconds_ includes it.
+      emitKernelGauges(evaluator_->totals());
     }
     flushCounters();
   }
@@ -254,10 +234,8 @@ class InteractionRecorder {
       rt_.enqueue(partition_.home_proc, [this] { drainSealed(); });
       return;
     }
-    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
-    LoadScope<Data> load(partition_);
-    obs::TraceSpan span(instr_.trace, "kernel.drain_overlap", "kernel");
-    WallTimer timer;
+    obs::TimedScope scope(drainSinks("kernel.drain_overlap",
+                                     &overlap_seconds_));
     while (!sealed_ready_.empty()) {
       const std::uint32_t b = sealed_ready_.back();
       sealed_ready_.pop_back();
@@ -265,7 +243,15 @@ class InteractionRecorder {
       ++sealed_early_;
     }
     drain_scheduled_ = false;
-    overlap_seconds_ += timer.seconds();
+  }
+
+  /// A drain task's one interval: Fig 9 local traversal, the Partition's
+  /// measured load, the drain-phase seconds and a kernel span.
+  obs::TimedScope::Sinks drainSinks(const char* span, double* seconds) {
+    return {.trace = instr_.trace, .name = span, .category = "kernel",
+            .into = {&partition_.measured_load, seconds},
+            .profiler = instr_.profiler,
+            .activity = rts::Activity::kLocalTraversal};
   }
 
   void drainBucket(std::uint32_t b) {
@@ -276,37 +262,36 @@ class InteractionRecorder {
     partition_.interaction_lists[b].clear();
   }
 
-  void emitKernelPhases(
-      const typename BatchEvaluator<Data, Visitor>::Totals& totals) {
-    if (instr_.metrics != nullptr) {
-      instr_.metrics->gauge("kernel.node_seconds").add(totals.node_seconds);
-      instr_.metrics->gauge("kernel.leaf_seconds").add(totals.leaf_seconds);
-      instr_.metrics->gauge("kernel.replay_seconds").add(totals.replay_seconds);
-      instr_.metrics->gauge("kernel.record_seconds").add(record_seconds_);
-      instr_.metrics->gauge("kernel.overlap_seconds").add(overlap_seconds_);
-      instr_.metrics->gauge("kernel.finish_drain_seconds")
-          .add(finish_drain_seconds_);
-      instr_.metrics->counter("kernel.sealed_early").add(sealed_early_);
-      instr_.metrics->counter("kernel.sealed_total").add(drained_.size());
-    }
-    if (instr_.trace != nullptr) {
-      // Aggregate per-phase events (one per Partition) so the kernel
-      // phases show up under the enclosing kernel.batch_eval span.
-      const auto now = std::chrono::steady_clock::now();
-      auto emit = [&](const char* name, double seconds) {
-        if (seconds <= 0.0) return;
-        obs::TraceEvent ev;
-        ev.name = name;
-        ev.category = "kernel";
-        ev.duration_us = static_cast<std::int64_t>(seconds * 1e6);
-        ev.start_us = instr_.trace->sinceOriginUs(now) - ev.duration_us;
-        instr_.trace->record(ev);
-      };
-      emit("kernel.node_phase", totals.node_seconds);
-      emit("kernel.leaf_phase", totals.leaf_seconds);
-      emit("kernel.replay_phase", totals.replay_seconds);
-      emit("kernel.record_phase", record_seconds_);
-    }
+  using Totals = typename BatchEvaluator<Data, Visitor>::Totals;
+
+  void emitKernelGauges(const Totals& totals) {
+    if (instr_.metrics == nullptr) return;
+    instr_.metrics->gauge("kernel.node_seconds").add(totals.node_seconds);
+    instr_.metrics->gauge("kernel.leaf_seconds").add(totals.leaf_seconds);
+    instr_.metrics->gauge("kernel.replay_seconds").add(totals.replay_seconds);
+    instr_.metrics->gauge("kernel.record_seconds").add(record_seconds_);
+    instr_.metrics->gauge("kernel.overlap_seconds").add(overlap_seconds_);
+    instr_.metrics->gauge("kernel.finish_drain_seconds")
+        .add(finish_drain_seconds_);
+    instr_.metrics->counter("kernel.sealed_early").add(sealed_early_);
+    instr_.metrics->counter("kernel.sealed_total").add(drained_.size());
+  }
+
+  /// Aggregate per-phase events (one per Partition), ending now so they
+  /// nest under the still-open kernel.batch_eval span.
+  void traceKernelPhases(const Totals& totals) {
+    if (instr_.trace == nullptr) return;
+    const std::int64_t now_us =
+        instr_.trace->sinceOriginUs(std::chrono::steady_clock::now());
+    auto emit = [&](const char* name, double seconds) {
+      if (seconds <= 0.0) return;
+      const auto us = static_cast<std::int64_t>(seconds * 1e6);
+      instr_.trace->record({name, "kernel", now_us - us, us, -1, -1});
+    };
+    emit("kernel.node_phase", totals.node_seconds);
+    emit("kernel.leaf_phase", totals.leaf_seconds);
+    emit("kernel.replay_phase", totals.replay_seconds);
+    emit("kernel.record_phase", record_seconds_);
   }
 
   void flushCounters() {
@@ -358,16 +343,14 @@ class TopDownTraverser final : public TraverserBase {
                    Instrumentation instr = {})
       : partition_(partition), cache_(cache), rt_(rt),
         visitor_(std::move(visitor)), style_(style), instr_(instr),
-        profiler_(instr.profiler),
         recorder_(partition, visitor_, kernel, drain, rt, instr) {}
 
   /// Seed the traversal; must run on a worker of the partition's process.
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
-    LoadScope<Data> load(partition_);
+    obs::TimedScope scope(
+        recorder_.walkSinks(rts::Activity::kLocalTraversal));
     recorder_.prepare();
-    typename Recorder::RecordScope rec(recorder_);
     Node<Data>* root = cache_.root();
     if (style_ == TraversalStyle::kTransposed) {
       TargetList all;
@@ -475,17 +458,17 @@ class TopDownTraverser final : public TraverserBase {
         [this, parent, ph, key, slot, keep_ptr] {
           Node<Data>* fresh = nullptr;
           {
-            rts::ActivityScope res(profiler_, rts::Activity::kTraversalResumption);
+            obs::TimedScope res(
+                instr_.activity(rts::Activity::kTraversalResumption));
             fresh = cache_.options().model == CacheModel::kPerThread
                         ? cache_.resolvePrivate(ph, slot)
                     : parent != nullptr ? findChildByKey(parent, key)
                                         : cache_.root();
           }
           assert(fresh != nullptr && !fresh->placeholder());
-          rts::ActivityScope scope(profiler_, rts::Activity::kRemoteTraversal);
           std::lock_guard run(partition_.run_mutex);
-          LoadScope<Data> load(partition_);
-          typename Recorder::RecordScope rec(recorder_);
+          obs::TimedScope scope(
+              recorder_.walkSinks(rts::Activity::kRemoteTraversal));
           dfs(fresh, *keep_ptr);
           recorder_.retireTargets(*keep_ptr);
         },
@@ -498,7 +481,6 @@ class TopDownTraverser final : public TraverserBase {
   Visitor visitor_;
   TraversalStyle style_;
   Instrumentation instr_;
-  rts::ActivityProfiler* profiler_;
   Recorder recorder_;
   std::deque<TargetList> scratch_;  ///< per-depth frontier scratch
 };
@@ -525,15 +507,13 @@ class UpAndDownTraverser final : public TraverserBase {
                      Instrumentation instr = {})
       : partition_(partition), cache_(cache), rt_(rt),
         visitor_(std::move(visitor)), instr_(instr),
-        profiler_(instr.profiler),
         recorder_(partition, visitor_, kernel, drain, rt, instr) {}
 
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
-    LoadScope<Data> load(partition_);
+    obs::TimedScope scope(
+        recorder_.walkSinks(rts::Activity::kLocalTraversal));
     recorder_.prepare();
-    typename Recorder::RecordScope rec(recorder_);
     for (std::uint32_t b = 0; b < partition_.buckets.size(); ++b) {
       descend(cache_.root(), b, /*path=*/{});
       // Any pause along b's walk deferred the bucket before descend
@@ -638,17 +618,17 @@ class UpAndDownTraverser final : public TraverserBase {
         [this, parent, ph, key, slot, b, next = std::move(next)] {
           Node<Data>* fresh = nullptr;
           {
-            rts::ActivityScope res(profiler_, rts::Activity::kTraversalResumption);
+            obs::TimedScope res(
+                instr_.activity(rts::Activity::kTraversalResumption));
             fresh = cache_.options().model == CacheModel::kPerThread
                         ? cache_.resolvePrivate(ph, slot)
                     : parent != nullptr ? findChildByKey(parent, key)
                                         : cache_.root();
           }
           assert(fresh != nullptr && !fresh->placeholder());
-          rts::ActivityScope scope(profiler_, rts::Activity::kRemoteTraversal);
           std::lock_guard run(partition_.run_mutex);
-          LoadScope<Data> load(partition_);
-          typename Recorder::RecordScope rec(recorder_);
+          obs::TimedScope scope(
+              recorder_.walkSinks(rts::Activity::kRemoteTraversal));
           next(fresh);
           recorder_.retireTarget(b);
         },
@@ -660,7 +640,6 @@ class UpAndDownTraverser final : public TraverserBase {
   rts::Runtime& rt_;
   Visitor visitor_;
   Instrumentation instr_;
-  rts::ActivityProfiler* profiler_;
   Recorder recorder_;
 };
 

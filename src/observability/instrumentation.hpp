@@ -22,6 +22,23 @@ struct Instrumentation {
   bool enabled() const {
     return profiler != nullptr || metrics != nullptr || trace != nullptr;
   }
+
+  /// Sinks for a task-body interval: a Fig 9 activity plus up to two
+  /// accumulators (e.g. Partition::measured_load and the recorder's
+  /// record seconds). No registry lookup, so safe on the hot path.
+  obs::TimedScope::Sinks activity(rts::Activity a, double* into = nullptr,
+                                  double* also = nullptr) const {
+    return {.into = {into, also}, .profiler = profiler, .activity = a};
+  }
+
+  /// Sinks for a once-per-phase interval: a trace span, the registry
+  /// gauge `gauge`, and optionally one accumulator (a PhaseTimes slot).
+  obs::TimedScope::Sinks phase(const char* span, const char* category,
+                               const char* gauge,
+                               double* into = nullptr) const {
+    return {.trace = trace, .name = span, .category = category,
+            .metrics = metrics, .gauge = gauge, .into = {into}};
+  }
 };
 
 /// Owning convenience bundle for applications and benches: declare one

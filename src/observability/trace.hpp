@@ -1,11 +1,15 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "observability/metrics.hpp"
+#include "rts/profiler.hpp"
 
 namespace paratreet::obs {
 
@@ -55,6 +59,13 @@ class TraceBuffer {
     ready_[slot].store(true, std::memory_order_release);
   }
 
+  /// Record a zero-length event stamped now (faults, escalations).
+  void instant(const char* name, const char* category, std::int32_t proc,
+               std::int32_t worker) {
+    record({name, category, sinceOriginUs(std::chrono::steady_clock::now()),
+            0, proc, worker});
+  }
+
   /// Copy out every published span (export phase; racing recorders may
   /// still be claiming slots — unpublished slots are skipped).
   std::vector<TraceEvent> snapshot() const {
@@ -87,41 +98,87 @@ class TraceBuffer {
   std::atomic<std::size_t> next_{0};
 };
 
-/// RAII span: construction stamps the start, destruction records the
-/// completed event. A null buffer makes the scope a no-op, mirroring
-/// rts::ActivityScope, so instrumented paths never branch per call site.
-class TraceSpan {
+/// The one instrumented scope: a library interval is timed here and
+/// nowhere else. It reads steady_clock once when it opens and once when
+/// it closes, and fans that single duration out to whichever sinks the
+/// call site names — any of them may be absent, and with none at all the
+/// scope never touches the clock:
+///
+///   trace     a completed span (name, category, proc, worker);
+///   gauge     `metrics->gauge(gauge).add(seconds)` — the name is looked
+///             up when the scope opens, so once-per-phase sites only,
+///             never a task body;
+///   into      up to two plain `double` accumulators (PhaseTimes,
+///             Partition::measured_load, kernel phase seconds, ...);
+///   profiler  a Fig 9 activity interval (totals and timeline).
+///
+/// Sinks are named with designated initializers, e.g.
+///   TimedScope t({.trace = tb, .name = "build", .category = "phase",
+///                 .into = {&times.build}});
+class TimedScope {
  public:
-  TraceSpan(TraceBuffer* buffer, const char* name, const char* category,
-            std::int32_t proc = -1, std::int32_t worker = -1)
-      : buffer_(buffer), name_(name), category_(category), proc_(proc),
-        worker_(worker),
-        start_(buffer ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{}) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  ~TraceSpan() {
-    if (buffer_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    TraceEvent ev;
-    ev.name = name_;
-    ev.category = category_;
-    ev.start_us = buffer_->sinceOriginUs(start_);
-    ev.duration_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-            .count();
-    ev.proc = proc_;
-    ev.worker = worker_;
-    buffer_->record(ev);
+  using Clock = std::chrono::steady_clock;
+
+  struct Sinks {
+    TraceBuffer* trace = nullptr;
+    const char* name = "";
+    const char* category = "";
+    std::int32_t proc = -1;
+    std::int32_t worker = -1;
+    MetricsRegistry* metrics = nullptr;
+    const char* gauge = nullptr;
+    std::array<double*, 2> into{};
+    rts::ActivityProfiler* profiler = nullptr;
+    rts::Activity activity = rts::Activity::kOther;
+  };
+
+  explicit TimedScope(const Sinks& sinks)
+      : sinks_(sinks),
+        gauge_(sinks.metrics != nullptr && sinks.gauge != nullptr
+                   ? &sinks.metrics->gauge(sinks.gauge)
+                   : nullptr),
+        active_(sinks.trace != nullptr || gauge_ != nullptr ||
+                sinks.into[0] != nullptr || sinks.into[1] != nullptr ||
+                sinks.profiler != nullptr),
+        start_(active_ ? Clock::now() : Clock::time_point{}) {}
+  TimedScope(const TimedScope&) = delete;
+  TimedScope& operator=(const TimedScope&) = delete;
+
+  ~TimedScope() {
+    if (!active_) return;
+    const auto end = Clock::now();
+    const double seconds = std::chrono::duration<double>(end - start_).count();
+    for (double* acc : sinks_.into) {
+      if (acc != nullptr) *acc += seconds;
+    }
+    if (gauge_ != nullptr) gauge_->add(seconds);
+    if (sinks_.profiler != nullptr) {
+      sinks_.profiler->recordInterval(sinks_.activity, start_, end);
+    }
+    if (sinks_.trace != nullptr) {
+      // Both ends truncate against the origin, so a nested span never
+      // ends past its parent.
+      const std::int64_t from = sinks_.trace->sinceOriginUs(start_);
+      sinks_.trace->record({sinks_.name, sinks_.category, from,
+                            sinks_.trace->sinceOriginUs(end) - from,
+                            sinks_.proc, sinks_.worker});
+    }
   }
 
  private:
-  TraceBuffer* buffer_;
-  const char* name_;
-  const char* category_;
-  std::int32_t proc_;
-  std::int32_t worker_;
-  std::chrono::steady_clock::time_point start_;
+  Sinks sinks_;
+  Gauge* gauge_;  ///< looked up at open: the destructor must not throw
+  bool active_;
+  Clock::time_point start_;
+};
+
+/// A TimedScope feeding only a trace span. A null buffer makes it a no-op.
+class TraceSpan : public TimedScope {
+ public:
+  TraceSpan(TraceBuffer* buffer, const char* name, const char* category,
+            std::int32_t proc = -1, std::int32_t worker = -1)
+      : TimedScope({.trace = buffer, .name = name, .category = category,
+                    .proc = proc, .worker = worker}) {}
 };
 
 }  // namespace paratreet::obs

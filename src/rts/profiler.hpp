@@ -34,7 +34,7 @@ constexpr std::array<std::string_view, kNumActivities> kActivityNames = {
 };
 
 /// Accumulates per-activity busy time across all workers. One global
-/// instance per measurement; workers record with scoped timers. The
+/// instance per measurement; workers record through obs::TimedScope. The
 /// recording path is two atomic adds on scope exit, cheap enough to stay
 /// enabled in benchmarks.
 class ActivityProfiler {
@@ -106,7 +106,7 @@ class ActivityProfiler {
     return 0;
   }
 
-  /// Internal: record a scoped interval (called by ActivityScope).
+  /// Record one timed interval (obs::TimedScope's profiler sink).
   void recordInterval(Activity a,
                       std::chrono::steady_clock::time_point start,
                       std::chrono::steady_clock::time_point end) {
@@ -133,29 +133,6 @@ class ActivityProfiler {
   std::chrono::steady_clock::time_point timeline_origin_{};
   std::array<std::array<std::atomic<std::uint64_t>, kNumActivities>, kMaxBins>
       timeline_{};
-};
-
-/// RAII scope that attributes its lifetime to one activity of a profiler.
-/// A null profiler makes the scope a no-op, so instrumented code paths can
-/// run unprofiled without branching at every call site.
-class ActivityScope {
- public:
-  ActivityScope(ActivityProfiler* profiler, Activity activity)
-      : profiler_(profiler), activity_(activity),
-        start_(profiler ? Clock::now() : Clock::time_point{}) {}
-  ActivityScope(const ActivityScope&) = delete;
-  ActivityScope& operator=(const ActivityScope&) = delete;
-  ~ActivityScope() {
-    if (profiler_) {
-      profiler_->recordInterval(activity_, start_, Clock::now());
-    }
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  ActivityProfiler* profiler_;
-  Activity activity_;
-  Clock::time_point start_;
 };
 
 }  // namespace paratreet::rts

@@ -235,16 +235,10 @@ std::string ReliableLayer::describeInflight() const {
 }
 
 void ReliableLayer::traceFault(const char* name) const {
-  auto* tb = rt_.trace_.load(std::memory_order_acquire);
-  if (tb == nullptr) return;
-  obs::TraceEvent ev;
-  ev.name = name;
-  ev.category = "fault";
-  ev.start_us = tb->sinceOriginUs(std::chrono::steady_clock::now());
-  ev.duration_us = 0;
-  ev.proc = Runtime::currentProc();
-  ev.worker = Runtime::currentWorker();
-  tb->record(ev);
+  if (auto* tb = rt_.trace_.load(std::memory_order_acquire)) {
+    tb->instant(name, "fault", Runtime::currentProc(),
+                Runtime::currentWorker());
+  }
 }
 
 }  // namespace paratreet::rts

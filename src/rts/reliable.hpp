@@ -44,16 +44,6 @@ class ReliableLayer {
   /// over the runtime's Transport; ack-timeout timers stay local.
   void send(Message msg);
 
-  /// Positional legacy form, mirroring Runtime::send()'s overload.
-  void send(int from, int to, std::size_t bytes, Task on_receive) {
-    Message msg;
-    msg.from = from;
-    msg.to = to;
-    msg.bytes = bytes;
-    msg.on_receive = std::move(on_receive);
-    send(std::move(msg));
-  }
-
   /// Stop all retransmit chains: pending entries are released as their
   /// timers fire. Used by Runtime teardown after a watchdog abort so the
   /// destructor's drain cannot hang or throw.

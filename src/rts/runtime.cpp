@@ -107,9 +107,17 @@ void Runtime::configureFaults(const FaultConfig& fault) {
                         std::memory_order_release);
 }
 
+void Runtime::syncWorkers() {
+  for (auto& q : queues_) {
+    std::lock_guard lock(q->mutex);
+  }
+}
+
 void Runtime::attachMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
     metrics_.store(nullptr, std::memory_order_release);
+    syncWorkers();
+    metrics_storage_.reset();
     return;
   }
   auto m = std::make_unique<SchedulerMetrics>();
@@ -140,12 +148,14 @@ void Runtime::attachMetrics(obs::MetricsRegistry* registry) {
       m->idle_ns.push_back(&registry->counter(id + ".idle_ns"));
     }
   }
+  metrics_.store(m.get(), std::memory_order_release);
+  syncWorkers();
   metrics_storage_ = std::move(m);
-  metrics_.store(metrics_storage_.get(), std::memory_order_release);
 }
 
 void Runtime::attachTrace(obs::TraceBuffer* trace) {
   trace_.store(trace, std::memory_order_release);
+  syncWorkers();
 }
 
 void Runtime::noteFault(FaultKind kind) {
@@ -159,14 +169,7 @@ void Runtime::noteHeartbeatMissed(int rank) {
     m->heartbeat_missed->add(1);
   }
   if (auto* tb = trace_.load(std::memory_order_acquire)) {
-    obs::TraceEvent ev;
-    ev.name = "rts.heartbeat.missed";
-    ev.category = "fault";
-    ev.start_us = tb->sinceOriginUs(std::chrono::steady_clock::now());
-    ev.duration_us = 0;
-    ev.proc = rank;
-    ev.worker = -1;
-    tb->record(ev);
+    tb->instant("rts.heartbeat.missed", "fault", rank, -1);
   }
 }
 
@@ -175,14 +178,7 @@ void Runtime::noteFrameCorrupt(int rank) {
     m->frames_corrupt->add(1);
   }
   if (auto* tb = trace_.load(std::memory_order_acquire)) {
-    obs::TraceEvent ev;
-    ev.name = "rts.frame_corrupt";
-    ev.category = "fault";
-    ev.start_us = tb->sinceOriginUs(std::chrono::steady_clock::now());
-    ev.duration_us = 0;
-    ev.proc = rank;
-    ev.worker = -1;
-    tb->record(ev);
+    tb->instant("rts.frame_corrupt", "fault", rank, -1);
   }
 }
 
@@ -391,14 +387,7 @@ void Runtime::markCrashed(int proc) {
     inj->record(FaultKind::kCrash);
   }
   if (auto* tb = trace_.load(std::memory_order_acquire)) {
-    obs::TraceEvent ev;
-    ev.name = "rts.crash";
-    ev.category = "fault";
-    ev.start_us = tb->sinceOriginUs(std::chrono::steady_clock::now());
-    ev.duration_us = 0;
-    ev.proc = proc;
-    ev.worker = currentWorker();
-    tb->record(ev);
+    tb->instant("rts.crash", "fault", proc, currentWorker());
   }
   // Keep the wire honest: under a process-backed transport a modeled
   // crash kills the rank's real process (SIGKILL), so the socket EOF and
@@ -421,14 +410,7 @@ void Runtime::markWedged(int proc) {
     inj->record(FaultKind::kWedge);
   }
   if (auto* tb = trace_.load(std::memory_order_acquire)) {
-    obs::TraceEvent ev;
-    ev.name = "rts.wedge";
-    ev.category = "fault";
-    ev.start_us = tb->sinceOriginUs(std::chrono::steady_clock::now());
-    ev.duration_us = 0;
-    ev.proc = proc;
-    ev.worker = currentWorker();
-    tb->record(ev);
+    tb->instant("rts.wedge", "fault", proc, currentWorker());
   }
   // A process-backed transport wedges the rank at the wire level
   // (SIGSTOP: the process lives, its socket stays open, no EOF ever
@@ -640,9 +622,9 @@ void Runtime::workerLoop(int proc, int worker) {
       continue;
     }
     if (shutdown_.load(std::memory_order_acquire)) return;
-    auto* m = metrics_.load(std::memory_order_acquire);
-    const auto w0 = m != nullptr ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
+    const bool timed = metrics_.load(std::memory_order_acquire) != nullptr;
+    const auto w0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
     if (!q.delayed.empty()) {
       // Copy the deadline: wait_until drops the lock and re-reads its
       // argument after waking, and an enqueueAfterUs push meanwhile can
@@ -652,7 +634,10 @@ void Runtime::workerLoop(int proc, int worker) {
     } else {
       q.cv.wait(lock);
     }
-    if (m != nullptr) {
+    // Re-read under the queue lock: the registry may have been detached
+    // (and destroyed) while this worker was parked.
+    auto* m = metrics_.load(std::memory_order_acquire);
+    if (timed && m != nullptr) {
       const auto idle = std::chrono::steady_clock::now() - w0;
       m->idle_ns[slot]->add(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(idle).count()));

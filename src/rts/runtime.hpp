@@ -120,17 +120,6 @@ class Runtime {
   /// std::out_of_range when either rank is invalid.
   void send(Message msg);
 
-  /// Positional legacy form of send(); kept as a delegating overload for
-  /// one release — new code should build a Message (and tag its kind).
-  void send(int from, int to, std::size_t bytes, Task on_receive) {
-    Message msg;
-    msg.from = from;
-    msg.to = to;
-    msg.bytes = bytes;
-    msg.on_receive = std::move(on_receive);
-    send(std::move(msg));
-  }
-
   /// The backend carrying cross-rank messages (InProcTransport unless
   /// Config::transport selected otherwise). Stable for the runtime's
   /// lifetime.
@@ -201,14 +190,16 @@ class Runtime {
   /// instruments (task/message counters, per-worker busy/idle time,
   /// ready-queue depth histogram, retry/fault counters) and records into
   /// them until detached with attachMetrics(nullptr). Call only while
-  /// quiescent (no tasks running or queued); the hot-path cost when
-  /// attached is a relaxed atomic add per event, and a single atomic load
-  /// when detached.
+  /// quiescent (no tasks running or queued). The swap is synchronous:
+  /// once it returns, no parked worker writes into the previous registry,
+  /// so the caller may destroy it. The hot-path cost when attached is a
+  /// relaxed atomic add per event, and a single atomic load when
+  /// detached.
   void attachMetrics(obs::MetricsRegistry* registry);
 
   /// Attach a trace buffer: fault, retransmit and watchdog events are
   /// recorded as zero-length spans (category "fault"). Same quiescence
-  /// contract as attachMetrics().
+  /// and synchronous-swap contract as attachMetrics().
   void attachTrace(obs::TraceBuffer* trace);
   obs::TraceBuffer* traceBuffer() const {
     return trace_.load(std::memory_order_acquire);
@@ -288,6 +279,10 @@ class Runtime {
   };
 
   void workerLoop(int proc, int worker);
+  /// Pass through every queue mutex after swapping a sink pointer: a
+  /// worker re-reads the pointers under its queue lock after waking, so
+  /// once this returns none still writes through the old value.
+  void syncWorkers();
   void finishTask();
   void checkRank(const char* where, const char* which, int rank) const;
   void drainImpl(bool allow_watchdog);

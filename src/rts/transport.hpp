@@ -58,8 +58,8 @@ struct Message {
   int to = -1;
   std::size_t bytes = 0;
   MessageKind kind = MessageKind::kData;
-  Task on_receive;
-  std::shared_ptr<const std::vector<std::byte>> payload;
+  Task on_receive{};
+  std::shared_ptr<const std::vector<std::byte>> payload{};
 };
 
 /// Receipt flag: the rank process received the frame intact on the wire

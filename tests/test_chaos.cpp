@@ -254,8 +254,10 @@ TEST(Chaos, ExactlyOnceDeliveryUnderChaos) {
   std::atomic<int> delivered{0};
   constexpr int kMessages = 400;
   for (int i = 0; i < kMessages; ++i) {
-    rt.send(i % 4, (i + 1) % 4, 64,
-            [&delivered] { delivered.fetch_add(1, std::memory_order_relaxed); });
+    rt.send({.from = i % 4, .to = (i + 1) % 4, .bytes = 64,
+             .on_receive = [&delivered] {
+               delivered.fetch_add(1, std::memory_order_relaxed);
+             }});
   }
   rt.drain();
   EXPECT_EQ(delivered.load(), kMessages);

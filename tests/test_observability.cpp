@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -381,6 +382,71 @@ TEST(Observability, DriverEmitsMetricsSpansAndActivities) {
   EXPECT_TRUE(structurallyValidJson(json));
   EXPECT_NE(json.find("cache.misses"), std::string::npos);
   EXPECT_NE(json.find("phase.traverse_seconds"), std::string::npos);
+}
+
+// Each library interval is stamped once: the PhaseTimes slot, the
+// phase.*_seconds gauge and the span all carry one clock reading.
+TEST(Observability, ForestPhasesAreStampedOnce) {
+  rts::Runtime rt({2, 2});
+  Observability ob;
+  Configuration conf;
+  conf.min_partitions = 4;
+  conf.min_subtrees = 4;
+  conf.bucket_size = 8;
+  Forest<CountData, OctTreeType> forest(rt, conf, ob.handle());
+  forest.load(makeParticles(uniformCube(400, 17)));
+  forest.decompose();
+  forest.build();
+  forest.traverse(SumVisitor{});
+
+  const PhaseTimes& t = forest.phaseTimes();
+  struct Phase {
+    double seconds;
+    const char* gauge;
+    const char* span;
+  };
+  const auto events = ob.trace.snapshot();
+  for (const Phase& p : {Phase{t.decompose, "phase.decompose_seconds",
+                               "decompose"},
+                         Phase{t.build, "phase.build_seconds", "build"},
+                         Phase{t.traverse, "phase.traverse_seconds",
+                               "traverse.top_down"}}) {
+    SCOPED_TRACE(p.span);
+    EXPECT_GT(p.seconds, 0.0);
+    const obs::Gauge* gauge = ob.metrics.findGauge(p.gauge);
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_EQ(gauge->value(), p.seconds);
+    int spans = 0;
+    for (const auto& ev : events) {
+      if (std::string_view(ev.name) != p.span) continue;
+      ++spans;
+      EXPECT_NEAR(static_cast<double>(ev.duration_us), p.seconds * 1e6, 1.0);
+    }
+    EXPECT_EQ(spans, 1);
+  }
+
+  // The Fig 9 profile is fed from the same scopes.
+  EXPECT_GT(ob.profiler.seconds(rts::Activity::kTreeBuild), 0.0);
+  EXPECT_GT(ob.profiler.seconds(rts::Activity::kLocalTraversal), 0.0);
+  EXPECT_GT(ob.profiler.count(rts::Activity::kCacheRequest), 0u);
+  EXPECT_GT(ob.profiler.count(rts::Activity::kCacheInsertion), 0u);
+  EXPECT_GT(ob.profiler.count(rts::Activity::kRemoteTraversal), 0u);
+}
+
+class ThrowingMain : public SumMain {
+ public:
+  void traversal(int) override { throw std::runtime_error("traversal"); }
+};
+
+// Driver::run detaches the caller's sinks on every exit, thrown ones too:
+// the caller's TraceBuffer may be gone by the time the runtime next runs.
+TEST(Observability, DriverDetachesSinksWhenTraversalThrows) {
+  rts::Runtime rt({2, 1});
+  Observability ob;
+  ThrowingMain app;
+  EXPECT_THROW(app.run(rt, makeParticles(uniformCube(200, 5)), ob.handle()),
+               std::runtime_error);
+  EXPECT_EQ(rt.traceBuffer(), nullptr);
 }
 
 TEST(Observability, DriverRejectsInvalidConfiguration) {

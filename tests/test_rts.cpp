@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "observability/trace.hpp"
 #include "rts/profiler.hpp"
 #include "rts/reduction.hpp"
 #include "rts/reliable.hpp"
@@ -14,6 +15,8 @@
 
 namespace paratreet::rts {
 namespace {
+
+using obs::TimedScope;
 
 TEST(Runtime, RunsEnqueuedTasks) {
   Runtime rt({2, 2});
@@ -91,8 +94,8 @@ TEST(Runtime, DrainIsReusable) {
 
 TEST(Runtime, SendCountsMessagesAndBytes) {
   Runtime rt({2, 1});
-  rt.send(0, 1, 128, [] {});
-  rt.send(1, 0, 64, [] {});
+  rt.send({.from = 0, .to = 1, .bytes = 128, .on_receive = [] {}});
+  rt.send({.from = 1, .to = 0, .bytes = 64, .on_receive = [] {}});
   rt.drain();
   const auto stats = rt.stats();
   EXPECT_EQ(stats.messages, 2u);
@@ -104,7 +107,8 @@ TEST(Runtime, SendCountsMessagesAndBytes) {
 TEST(Runtime, SendDeliversToDestination) {
   Runtime rt({3, 1});
   std::atomic<int> delivered_on{-1};
-  rt.send(0, 2, 10, [&] { delivered_on = Runtime::currentProc(); });
+  rt.send({.from = 0, .to = 2, .bytes = 10,
+           .on_receive = [&] { delivered_on = Runtime::currentProc(); }});
   rt.drain();
   EXPECT_EQ(delivered_on.load(), 2);
 }
@@ -117,7 +121,8 @@ TEST(Runtime, CommModelDelaysDelivery) {
   Runtime rt(config);
   paratreet::WallTimer timer;
   std::atomic<double> arrival{0.0};
-  rt.send(0, 1, 1, [&] { arrival = timer.seconds(); });
+  rt.send({.from = 0, .to = 1, .bytes = 1,
+           .on_receive = [&] { arrival = timer.seconds(); }});
   rt.drain();
   EXPECT_GE(arrival.load(), 0.015);
 }
@@ -130,7 +135,8 @@ TEST(Runtime, CommModelSkipsLocalSends) {
   Runtime rt(config);
   paratreet::WallTimer timer;
   std::atomic<double> arrival{99.0};
-  rt.send(1, 1, 1, [&] { arrival = timer.seconds(); });
+  rt.send({.from = 1, .to = 1, .bytes = 1,
+           .on_receive = [&] { arrival = timer.seconds(); }});
   rt.drain();
   EXPECT_LT(arrival.load(), 0.04);
 }
@@ -230,7 +236,7 @@ TEST(Profiler, AccumulatesPerActivity) {
 TEST(Profiler, ScopeRecordsElapsed) {
   ActivityProfiler prof;
   {
-    ActivityScope scope(&prof, Activity::kTreeBuild);
+    TimedScope scope({.profiler = &prof, .activity = Activity::kTreeBuild});
     paratreet::WallTimer t;
     while (t.seconds() < 0.01) {
     }
@@ -240,7 +246,7 @@ TEST(Profiler, ScopeRecordsElapsed) {
 }
 
 TEST(Profiler, NullProfilerScopeIsNoop) {
-  ActivityScope scope(nullptr, Activity::kOther);
+  TimedScope scope({.profiler = nullptr, .activity = Activity::kOther});
   SUCCEED();
 }
 
@@ -248,7 +254,7 @@ TEST(Profiler, TimelineBinsActivity) {
   ActivityProfiler prof;
   prof.enableTimeline(0.02);
   {
-    ActivityScope scope(&prof, Activity::kLocalTraversal);
+    TimedScope scope({.profiler = &prof, .activity = Activity::kLocalTraversal});
     paratreet::WallTimer t;
     while (t.seconds() < 0.005) {
     }
@@ -258,7 +264,7 @@ TEST(Profiler, TimelineBinsActivity) {
   while (wait.seconds() < 0.025) {
   }
   {
-    ActivityScope scope(&prof, Activity::kCacheInsertion);
+    TimedScope scope({.profiler = &prof, .activity = Activity::kCacheInsertion});
     paratreet::WallTimer t;
     while (t.seconds() < 0.005) {
     }
@@ -282,7 +288,7 @@ TEST(Profiler, TimelineClampsToLastBin) {
     }
   }
   {
-    ActivityScope scope(&prof, Activity::kOther);
+    TimedScope scope({.profiler = &prof, .activity = Activity::kOther});
     paratreet::WallTimer t;
     while (t.seconds() < 0.001) {
     }
@@ -301,7 +307,8 @@ TEST(Runtime, ConcurrentSendsFromWorkers) {
   std::atomic<int> received{0};
   rt.broadcast([&](int proc) {
     for (int i = 0; i < 50; ++i) {
-      rt.send(proc, (proc + 1) % 3, 8, [&received] { received.fetch_add(1); });
+      rt.send({.from = proc, .to = (proc + 1) % 3, .bytes = 8,
+               .on_receive = [&received] { received.fetch_add(1); }});
     }
   });
   rt.drain();
@@ -328,8 +335,10 @@ TEST(Runtime, EnqueueRejectsOutOfRangeProc) {
 
 TEST(Runtime, SendRejectsOutOfRangeRanks) {
   Runtime rt({2, 1});
-  EXPECT_THROW(rt.send(0, 5, 8, [] {}), std::out_of_range);
-  EXPECT_THROW(rt.send(-3, 1, 8, [] {}), std::out_of_range);
+  EXPECT_THROW(rt.send({.from = 0, .to = 5, .bytes = 8,
+                        .on_receive = [] {}}), std::out_of_range);
+  EXPECT_THROW(rt.send({.from = -3, .to = 1, .bytes = 8,
+                        .on_receive = [] {}}), std::out_of_range);
   EXPECT_EQ(rt.stats().messages, 0u);  // rejected sends are not counted
   rt.drain();
 }
@@ -373,10 +382,11 @@ TEST(CommModel, DelayedMessagesDeliverFifoAtEqualCost) {
   std::vector<int> order;
   std::mutex mutex;
   for (int i = 0; i < 32; ++i) {
-    rt.send(0, 1, 8, [i, &order, &mutex] {
+    rt.send({.from = 0, .to = 1, .bytes = 8,
+             .on_receive = [i, &order, &mutex] {
       std::lock_guard lock(mutex);
       order.push_back(i);
-    });
+    }});
   }
   rt.drain();
   ASSERT_EQ(order.size(), 32u);
@@ -401,7 +411,8 @@ TEST(Reliable, AbandonRankRetiresInflightRetransmitChains) {
   ReliableLayer layer(rt, injector);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
-    layer.send(0, 1, 64, [&ran] { ran.fetch_add(1); });
+    layer.send({.from = 0, .to = 1, .bytes = 64,
+                .on_receive = [&ran] { ran.fetch_add(1); }});
   }
   // Let several retransmission timers fire while the chains are live.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -434,7 +445,8 @@ TEST(Reliable, CopyOnTheWireToAbandonedRankIsDiscardedWithoutAck) {
   rt.enqueue(1, [&hold] {
     while (hold.load()) std::this_thread::yield();
   });
-  layer.send(0, 1, 64, [&ran] { ran.store(true); });
+  layer.send({.from = 0, .to = 1, .bytes = 64,
+              .on_receive = [&ran] { ran.store(true); }});
   layer.abandonRank(1);
   hold.store(false);
   rt.drain();
@@ -457,7 +469,8 @@ TEST(Reliable, AbandonAllRacingRetransmitTimersReleasesEverything) {
   ReliableLayer layer(rt, injector);
   std::atomic<int> ran{0};
   for (int i = 0; i < 12; ++i) {
-    layer.send(i % 3, (i + 1) % 3, 64, [&ran] { ran.fetch_add(1); });
+    layer.send({.from = i % 3, .to = (i + 1) % 3, .bytes = 64,
+                .on_receive = [&ran] { ran.fetch_add(1); }});
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   layer.abandonAll();
@@ -483,14 +496,16 @@ TEST(Runtime, RecoveredRankDoesNotResurrectAbandonedMessages) {
   Runtime rt(cfg);
   rt.scheduleCrash(1, 0);
   std::atomic<bool> old_ran{false};
-  rt.send(0, 1, 64, [&old_ran] { old_ran.store(true); });
+  rt.send({.from = 0, .to = 1, .bytes = 64,
+           .on_receive = [&old_ran] { old_ran.store(true); }});
   EXPECT_THROW(rt.drain(), QuiescenceTimeout);
   EXPECT_EQ(rt.crashedRanks(), std::vector<int>{1});
   rt.recoverCrashedRanks(/*restart=*/true);
   EXPECT_TRUE(rt.crashedRanks().empty());
   EXPECT_TRUE(rt.rankAlive(1));
   std::atomic<bool> new_ran{false};
-  rt.send(0, 1, 64, [&new_ran] { new_ran.store(true); });
+  rt.send({.from = 0, .to = 1, .bytes = 64,
+           .on_receive = [&new_ran] { new_ran.store(true); }});
   rt.drain();
   EXPECT_FALSE(old_ran.load());
   EXPECT_TRUE(new_ran.load());
@@ -505,7 +520,8 @@ TEST(CommModel, DrainWaitsOutInFlightDelayedMessages) {
   Runtime rt(cfg);
   std::atomic<bool> arrived{false};
   WallTimer timer;
-  rt.send(0, 1, 8, [&arrived] { arrived.store(true); });
+  rt.send({.from = 0, .to = 1, .bytes = 8,
+           .on_receive = [&arrived] { arrived.store(true); }});
   rt.drain();
   // drain() must block until the delayed message matured and ran.
   EXPECT_TRUE(arrived.load());

@@ -217,10 +217,9 @@ TEST(TransportConfigSuite, MakeTransportRejectsAnInvalidConfig) {
 
 // --- the Message envelope --------------------------------------------------
 
-TEST(SendEnvelope, MessageAndLegacyOverloadBothDeliver) {
+TEST(SendEnvelope, MessageDeliversAndIsCounted) {
   rts::Runtime rt({2, 1});
   std::atomic<int> envelope{0};
-  std::atomic<int> legacy{0};
 
   rts::Message msg;
   msg.from = 0;
@@ -229,14 +228,12 @@ TEST(SendEnvelope, MessageAndLegacyOverloadBothDeliver) {
   msg.kind = rts::MessageKind::kRequest;
   msg.on_receive = [&] { envelope.fetch_add(1); };
   rt.send(std::move(msg));
-  rt.send(1, 0, 32, [&] { legacy.fetch_add(1); });
   rt.drain();
 
   EXPECT_EQ(envelope.load(), 1);
-  EXPECT_EQ(legacy.load(), 1);
   const auto stats = rt.stats();
-  EXPECT_EQ(stats.messages, 2u);
-  EXPECT_EQ(stats.bytes, 96u);
+  EXPECT_EQ(stats.messages, 1u);
+  EXPECT_EQ(stats.bytes, 64u);
 }
 
 TEST(SendEnvelope, SelfSendRunsOnTheSendersRank) {
@@ -440,7 +437,8 @@ TEST(Tcp, ReliableLayerDeliversExactlyOnceOverTheWire) {
 
   std::atomic<int> delivered{0};
   for (int i = 0; i < 100; ++i) {
-    rt.send(i % 2, 1 - i % 2, 16, [&] { delivered.fetch_add(1); });
+    rt.send({.from = i % 2, .to = 1 - i % 2, .bytes = 16,
+             .on_receive = [&] { delivered.fetch_add(1); }});
   }
   rt.drain();
 
