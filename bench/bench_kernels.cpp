@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -30,6 +29,13 @@
 using namespace paratreet;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_kernels [n_particles] [reps] [--out=<path>]\n"
+    "  n_particles  uniform particles in the kernel cases (default 30000;\n"
+    "               the end-to-end traverse uses min(n, 20000))\n"
+    "  reps         timed repetitions per case, best kept (default 5)\n"
+    "  --out=<path> JSON results file (default BENCH_kernels.json)\n";
 
 const OrientedBox kUniverse{Vec3(0), Vec3(1)};
 
@@ -304,9 +310,14 @@ void writeJson(const std::string& path, std::size_t n, int bucket_size,
 int main(int argc, char** argv) {
   std::string out = "BENCH_kernels.json";
   bench::ArgParser args(argc, argv);
+  if (args.help()) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   args.flag("--out=", out);
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 30000;
-  const int reps = argc > 2 ? std::atoi(argv[2]) : 5;
+  args.rejectLeftovers(2);
+  const auto n = args.positional<std::size_t>(1, "n_particles", 30000);
+  const int reps = args.positional(2, "reps", 5);
   const int bucket_size = 64;  // long contiguous spans: the SoA regime
 
   bench::printHeader("Kernels",

@@ -83,18 +83,39 @@ void BM_GravExactKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_GravExactKernel);
 
+// One source expansion swept over a 64-particle bucket: the per-target
+// cost GravityVisitor::node() pays after its one expansion per visit.
 void BM_GravApproxKernel(benchmark::State& state) {
   auto ps = particleSet(64);
   const CentroidData data(ps.data(), 64);
   GravityParams params;
+  const Multipole m = expandMultipole(data, params);
+  std::vector<Vec3> targets;
+  for (const auto& p : ps) targets.push_back(p.position + Vec3(2, 2, 2));
   for (auto _ : state) {
     Vec3 a{};
     double phi = 0;
-    gravApprox(data, Vec3(2, 2, 2), params, a, phi);
+    for (const Vec3& t : targets) gravApprox(m, t, params, a, phi);
     benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(phi);
   }
+  state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_GravApproxKernel);
+
+// The per-visit cost: centroid and traceless quadrupole from the moments.
+void BM_ExpandMultipole(benchmark::State& state) {
+  auto ps = particleSet(64);
+  CentroidData data(ps.data(), 64);
+  GravityParams params;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(data);
+    const Multipole m = expandMultipole(data, params);
+    benchmark::DoNotOptimize(m);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExpandMultipole);
 
 void BM_SerializeRegion(benchmark::State& state) {
   auto ps = particleSet(10000);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "apps/gravity/centroid_data.hpp"
 #include "core/interaction_list.hpp"
@@ -19,32 +20,50 @@ struct GravityParams {
   bool use_quadrupole = true;
 };
 
+/// A source's multipole expansion, derived from its CentroidData once per
+/// source visit so the per-target kernel reads it without divisions.
+struct Multipole {
+  Vec3 centroid{};
+  double mass{0.0};
+  SymTensor3 quadrupole{};  ///< traceless; zero unless use_quadrupole
+};
+
+inline Multipole expandMultipole(const CentroidData& data,
+                                 const GravityParams& params) {
+  Multipole m{data.centroid(), data.sum_mass, {}};
+  if (params.use_quadrupole) m.quadrupole = data.quadrupole();
+  return m;
+}
+
 /// Acceleration and potential on a point at `pos` from the multipole
-/// expansion of `data` (the paper's gravApprox helper).
-inline void gravApprox(const CentroidData& data, const Vec3& pos,
+/// expansion `m` (the paper's gravApprox helper). One reciprocal per
+/// interaction: r^-3, r^-5 and r^-7 are products of inv_r.
+inline void gravApprox(const Multipole& m, const Vec3& pos,
                        const GravityParams& params, Vec3& accel,
                        double& potential) {
-  const Vec3 dr = pos - data.centroid();
+  const Vec3 dr = pos - m.centroid;
   const double r2 = dr.lengthSquared() + params.softening * params.softening;
-  const double r = std::sqrt(r2);
-  const double inv_r3 = 1.0 / (r2 * r);
-  accel += (-params.G * data.sum_mass * inv_r3) * dr;
-  potential += -params.G * data.sum_mass / r;
+  const double inv_r = 1.0 / std::sqrt(r2);
+  const double inv_r2 = inv_r * inv_r;
+  const double inv_r3 = inv_r * inv_r2;
+  accel += (-params.G * m.mass * inv_r3) * dr;
+  potential += -params.G * m.mass * inv_r;
   if (params.use_quadrupole) {
     // Traceless quadrupole: phi_Q = -G q_rr / (2 r^5),
     // a_Q = G [ Q dr / r^5 - (5/2) q_rr dr / r^7 ].
-    const SymTensor3 q = data.quadrupole();
-    const Vec3 qd = q.mul(dr);
+    const Vec3 qd = m.quadrupole.mul(dr);
     const double qrr = dr.dot(qd);
-    const double inv_r5 = inv_r3 / r2;
-    const double inv_r7 = inv_r5 / r2;
+    const double inv_r5 = inv_r3 * inv_r2;
+    const double inv_r7 = inv_r5 * inv_r2;
     accel += params.G * (qd * inv_r5 - (2.5 * qrr * inv_r7) * dr);
     potential += -params.G * 0.5 * qrr * inv_r5;
   }
 }
 
 /// Pairwise Newtonian force on `pos` from one source particle (the
-/// paper's gravExact helper). Skips self-interaction (r = 0).
+/// paper's gravExact helper). Skips self-interaction (r = 0). The same
+/// arithmetic as one lane of gravExactBatch, so a pair gives the same
+/// bits on the inline and the SoA path.
 inline void gravExact(const Particle& source, const Vec3& pos,
                       const GravityParams& params, Vec3& accel,
                       double& potential) {
@@ -52,9 +71,11 @@ inline void gravExact(const Particle& source, const Vec3& pos,
   const double dr2 = dr.lengthSquared();
   if (dr2 == 0.0) return;
   const double r2 = dr2 + params.softening * params.softening;
-  const double r = std::sqrt(r2);
-  accel += (-params.G * source.mass / (r2 * r)) * dr;
-  potential += -params.G * source.mass / r;
+  const double inv_r = 1.0 / std::sqrt(r2);
+  const double gm = params.G * source.mass;
+  const double gm_inv_r3 = gm * inv_r * (inv_r * inv_r);
+  accel -= gm_inv_r3 * dr;
+  potential -= gm * inv_r;
 }
 
 /// Batched pairwise gravity over gathered SoA spans: every target reads
@@ -154,10 +175,11 @@ struct GravityVisitor {
 
   void node(const SpatialNode<CentroidData>& source,
             SpatialNode<CentroidData>& target) const {
+    const Multipole m = expandMultipole(source.data, params);
     for (int i = 0; i < target.n_particles; ++i) {
       Vec3 accel{};
       double phi = 0.0;
-      gravApprox(source.data, target.particle(i).position, params, accel, phi);
+      gravApprox(m, target.particle(i).position, params, accel, phi);
       target.applyAcceleration(i, accel);
       target.applyPotential(i, phi);
     }
@@ -178,17 +200,19 @@ struct GravityVisitor {
   }
 
   /// Batch hook (EvalKernel::kBatched): one pass over the bucket's whole
-  /// node-approximation list. The summaries arrive contiguous, so each
-  /// target streams them without pointer chasing.
+  /// node-approximation list. Each summary is expanded once for the
+  /// bucket, then every target streams the contiguous expansions.
   void nodeBatch(const CentroidData* nodes, int n,
                  SpatialNode<CentroidData>& target,
                  const SoaTargets& tgt) const {
+    std::vector<Multipole> poles(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) poles[k] = expandMultipole(nodes[k], params);
     for (int i = 0; i < tgt.n; ++i) {
       Vec3 accel{};
       double phi = 0.0;
       const Vec3 pos{tgt.x[i], tgt.y[i], tgt.z[i]};
-      for (int k = 0; k < n; ++k) {
-        gravApprox(nodes[k], pos, params, accel, phi);
+      for (const Multipole& m : poles) {
+        gravApprox(m, pos, params, accel, phi);
       }
       target.applyAcceleration(i, accel);
       target.applyPotential(i, phi);

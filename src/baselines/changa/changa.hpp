@@ -71,9 +71,9 @@ struct ChangaStats {
 ///    paper observes with SMT);
 ///  - gravity walks the tree once per bucket (no loop transposition).
 ///
-/// The force kernels (gravApprox/gravExact, opening criterion) are shared
-/// with the ParaTreeT gravity application, as in the paper ("identical
-/// solutions, same computational work").
+/// The force kernels (expandMultipole/gravApprox/gravExact, opening
+/// criterion) are shared with the ParaTreeT gravity application, as in
+/// the paper ("identical solutions, same computational work").
 class ChangaSolver {
  public:
   ChangaSolver(rts::Runtime& rt, ChangaConfig config)
@@ -500,9 +500,10 @@ class ChangaSolver {
     const double d2 = ref.box.distanceSquared(c);
     const GravityParams& g = config_.gravity;
     if (!(d2 * g.theta * g.theta < b2)) {
+      const Multipole m = expandMultipole(node->data, g);
       for (std::size_t i = ref.begin; i < ref.end; ++i) {
         Particle& p = piece.particles[i];
-        gravApprox(node->data, p.position, g, p.acceleration, p.potential);
+        gravApprox(m, p.position, g, p.acceleration, p.potential);
       }
       return;
     }

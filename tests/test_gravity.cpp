@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "apps/gravity/gravity.hpp"
 #include "core/forest.hpp"
@@ -102,7 +104,8 @@ TEST(GravKernels, MonopoleMatchesPointMassFarAway) {
   const Vec3 target(10, 0, 0);
   Vec3 a_approx{};
   double phi_approx = 0;
-  gravApprox(data, target, params, a_approx, phi_approx);
+  gravApprox(expandMultipole(data, params), target, params, a_approx,
+             phi_approx);
   Vec3 a_exact{};
   double phi_exact = 0;
   for (const auto& p : ps) gravExact(p, target, params, a_exact, phi_exact);
@@ -133,11 +136,122 @@ TEST(GravKernels, QuadrupoleImprovesOnMonopole) {
 
   Vec3 a_mono{}, a_quad{};
   double phi_mono = 0, phi_quad = 0;
-  gravApprox(data, target, mono, a_mono, phi_mono);
-  gravApprox(data, target, quad, a_quad, phi_quad);
+  gravApprox(expandMultipole(data, mono), target, mono, a_mono, phi_mono);
+  gravApprox(expandMultipole(data, quad), target, quad, a_quad, phi_quad);
 
   EXPECT_LT((a_quad - a_exact).length(), 0.5 * (a_mono - a_exact).length());
   EXPECT_LT(std::abs(phi_quad - phi_exact), std::abs(phi_mono - phi_exact));
+}
+
+/// The multipole kernel written long-hand in the divide form: centroid
+/// and quadrupole derived per call, r^-3, r^-5 and r^-7 by division.
+void divideFormApprox(const CentroidData& data, const Vec3& pos,
+                      const GravityParams& params, Vec3& accel,
+                      double& potential) {
+  const Vec3 dr = pos - data.centroid();
+  const double r2 = dr.lengthSquared() + params.softening * params.softening;
+  const double r = std::sqrt(r2);
+  const double inv_r3 = 1.0 / (r2 * r);
+  accel += (-params.G * data.sum_mass * inv_r3) * dr;
+  potential += -params.G * data.sum_mass / r;
+  if (params.use_quadrupole) {
+    const SymTensor3 q = data.quadrupole();
+    const Vec3 qd = q.mul(dr);
+    const double qrr = dr.dot(qd);
+    const double inv_r5 = inv_r3 / r2;
+    const double inv_r7 = inv_r5 / r2;
+    accel += params.G * (qd * inv_r5 - (2.5 * qrr * inv_r7) * dr);
+    potential += -params.G * 0.5 * qrr * inv_r5;
+  }
+}
+
+TEST(GravKernels, ExpandedApproxMatchesDivideForm) {
+  // Random clumps seen from 2 to 50 half-widths away, with and without
+  // softening, quadrupole alternately on and off, every 50th massless.
+  Rng rng(11);
+  int zero_mass = 0;
+  for (int pair = 0; pair < 10000; ++pair) {
+    const Vec3 center(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(-1, 1));
+    const double spread = rng.uniform(0.01, 0.3);
+    const bool massless = pair % 50 == 0;
+    std::vector<Particle> ps(1 + pair % 8);
+    for (auto& p : ps) {
+      p.position = center + spread * Vec3(rng.uniform(-1, 1),
+                                          rng.uniform(-1, 1),
+                                          rng.uniform(-1, 1));
+      p.mass = massless ? 0.0 : rng.uniform(0.1, 1.0);
+    }
+    const CentroidData data(ps.data(), static_cast<int>(ps.size()));
+    Vec3 dir(rng.normal(), rng.normal(), rng.normal());
+    dir /= dir.length();
+    const Vec3 target = center + rng.uniform(2.0, 50.0) * spread * dir;
+    GravityParams params;
+    params.softening = pair % 3 == 0 ? 0.0 : 1e-3;
+    params.use_quadrupole = pair % 2 == 0;
+
+    Vec3 a{}, a_ref{};
+    double phi = 0, phi_ref = 0;
+    gravApprox(expandMultipole(data, params), target, params, a, phi);
+    divideFormApprox(data, target, params, a_ref, phi_ref);
+    if (massless) {
+      ++zero_mass;
+      EXPECT_EQ(a, Vec3{});
+      EXPECT_EQ(phi, 0.0);
+      EXPECT_EQ(a_ref, Vec3{});
+      continue;
+    }
+    ASSERT_LE((a - a_ref).length(), 1e-14 * a_ref.length()) << "pair " << pair;
+    ASSERT_LE(std::abs(phi - phi_ref), 1e-14 * std::abs(phi_ref))
+        << "pair " << pair;
+  }
+  EXPECT_EQ(zero_mass, 200);
+}
+
+TEST(GravKernels, ExactMatchesOneElementBatchBitwise) {
+  // One formula in the inline and SoA pair kernels: a single source seen
+  // through gravExact and through a one-element gravExactBatch gives the
+  // same bits, and the self-pair gives exactly zero in both.
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng(12);
+  GravityParams params;
+  params.softening = 1e-3;
+  CentroidData none;
+  OrientedBox box;
+  for (int trial = 0; trial < 1000; ++trial) {
+    Particle src, tgt;
+    src.position = Vec3(rng.uniform(), rng.uniform(), rng.uniform());
+    src.mass = rng.uniform(0.1, 1.0);
+    src.order = 0;
+    const bool self = trial % 10 == 0;
+    tgt.position = self ? src.position
+                        : Vec3(rng.uniform(), rng.uniform(), rng.uniform());
+    tgt.order = self ? 0 : 1;
+
+    Vec3 a{};
+    double phi = 0;
+    gravExact(src, tgt.position, params, a, phi);
+
+    const double so = src.order, to = tgt.order;
+    const SoaSources soa{&src.position.x, &src.position.y, &src.position.z,
+                         &src.mass, &so, 1};
+    const SoaTargets st{&tgt.position.x, &tgt.position.y, &tgt.position.z,
+                        &to, 1};
+    SpatialNode<CentroidData> node(none, box, keys::kRoot, 1, &tgt);
+    gravExactBatch(soa, st, params, node);
+
+    if (self) {
+      EXPECT_EQ(a, Vec3{});
+      EXPECT_EQ(phi, 0.0);
+      EXPECT_EQ(tgt.acceleration, Vec3{});
+      EXPECT_EQ(tgt.potential, 0.0);
+      continue;
+    }
+    ASSERT_EQ(bits(a.x), bits(tgt.acceleration.x)) << "trial " << trial;
+    ASSERT_EQ(bits(a.y), bits(tgt.acceleration.y)) << "trial " << trial;
+    ASSERT_EQ(bits(a.z), bits(tgt.acceleration.z)) << "trial " << trial;
+    ASSERT_EQ(bits(phi), bits(tgt.potential)) << "trial " << trial;
+  }
 }
 
 TEST(GravityVisitor, OpenCriterionGeometry) {
