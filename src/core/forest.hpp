@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "core/cache.hpp"
@@ -109,7 +110,8 @@ class Forest {
   /// colocate Partition i with Subtree i.
   ///
   /// The whole pipeline — box reduction, key assignment, splitter
-  /// finding by iterative histogramming, and the scatter — runs chunked
+  /// finding (counting over sorted keys for SFC/Oct, selection on a
+  /// compact position copy for binary splits), and the scatter — runs
   /// on the worker runtime. Its piece assignments are identical to the
   /// serial full-sort Decomposition::findSplitters() reference.
   void decompose() {
@@ -156,18 +158,28 @@ class Forest {
     {
       obs::TimedScope splitters(instr_.phase(
           "decompose.splitters", "phase", "decompose.histogram_seconds"));
-      // Both decompositions count over the same keys, so the sorted
-      // scratch (the expensive part) is built once and shared.
-      decomp::SortedKeyScratch scratch(std::span<const Particle>(particles_),
-                                       worker_par, chunks);
+      // Key-based decompositions count over the same sorted key scratch
+      // (the expensive part), so it is built once and shared — and not
+      // at all when both decompositions are binary splits, which select
+      // on positions instead.
+      auto readsKeys = [](DecompType t) {
+        return t == DecompType::eSfc || t == DecompType::eOct;
+      };
+      std::optional<decomp::SortedKeyScratch> scratch;
+      if (readsKeys(partition_decomp_->type()) ||
+          readsKeys(subtree_decomp_->type())) {
+        scratch.emplace(std::span<const Particle>(particles_), worker_par,
+                        chunks);
+      }
+      const decomp::SortedKeyScratch* shared = scratch ? &*scratch : nullptr;
       n_parts = partition_decomp_->findSplittersHistogram(
           std::span<Particle>(particles_), universe_, conf_.min_partitions,
           Decomposition::Target::kPartition, worker_par,
-          Decomposition::kSplitterProbes, &scratch);
+          Decomposition::kSplitterProbes, shared);
       n_subtrees = subtree_decomp_->findSplittersHistogram(
           std::span<Particle>(particles_), universe_, conf_.min_subtrees,
           Decomposition::Target::kSubtree, worker_par,
-          Decomposition::kSplitterProbes, &scratch);
+          Decomposition::kSplitterProbes, shared);
     }
     auto regions = subtree_decomp_->regions();
     assert(static_cast<int>(regions.size()) == n_subtrees);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <optional>
 #include <queue>
 #include <tuple>
@@ -342,18 +341,14 @@ int OctDecomposition::pieceOf(const Particle& p) const {
 
 namespace {
 
-/// Order-preserving (w.r.t. double <) mapping from double to uint64 and
-/// back, so split planes can be found by integer bisection. -0.0 maps
-/// just below +0.0 — a tie-break refinement of the double order, which
-/// leaves every order statistic double-equal to the nth_element result.
+/// Order-preserving (w.r.t. double <) mapping from double to uint64: a
+/// total order in which -0.0 sorts just below +0.0. It refines the
+/// double order, so its order statistics are double-equal to the sort
+/// path's, but which zero becomes a plane does not depend on how
+/// nth_element happened to arrange the ties.
 std::uint64_t mapDouble(double x) {
   const auto u = std::bit_cast<std::uint64_t>(x);
   return (u >> 63) ? ~u : (u | (std::uint64_t{1} << 63));
-}
-
-double unmapDouble(std::uint64_t u) {
-  return (u >> 63) ? std::bit_cast<double>(u & ~(std::uint64_t{1} << 63))
-                   : std::bit_cast<double>(~u);
 }
 
 }  // namespace
@@ -427,206 +422,117 @@ int BinarySplitDecomposition::splitRecursive(std::span<Particle> particles,
 
 int BinarySplitDecomposition::findSplittersHistogram(
     std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-    Target target, ParallelFor& par, int probes,
+    Target target, ParallelFor& par, int /*probes*/,
     const decomp::SortedKeyScratch* /*scratch*/) {
-  assert(n_pieces > 0 && probes >= 1);
+  assert(n_pieces > 0);
   const std::size_t n = particles.size();
   const int chunks = std::max(1, par.ways());
   nodes_.clear();
   regions_.clear();
   regions_.resize(static_cast<std::size_t>(n_pieces));
 
+  // Selecting on a compact copy of the positions (24 bytes per particle
+  // instead of a whole Particle) keeps `particles` in input order and
+  // makes each plane one selection over its region's records.
+  std::vector<Vec3> coords(n);
+  par.run(chunks, [&](int c) {
+    const auto r = decomp::chunkOf(n, chunks, c);
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      coords[i] = particles[i].position;
+    }
+  });
+
   // Level-synchronous construction of the same plane tree the recursive
-  // sort path builds: each level finds every active region's split plane
-  // (the cut-th order statistic of its coordinates, via integer bisection
-  // over mapDouble space) with shared counting passes. Codes stored in
-  // node links / root_ during construction:
-  //   >= 0             child node index
-  //   -1 .. -n_pieces  final leaf, piece = -code - 1
-  //   <  -n_pieces     pending region a = -code - n_pieces - 1
-  struct Pending {
+  // sort path builds. A region owns the records [begin, end); splitting
+  // it partitions that subrange in place, so the children own its halves
+  // and the regions of one level are disjoint, independent tasks.
+  struct Region {
     Key key;
     int depth;
     OrientedBox box;
-    std::size_t count;
+    std::size_t begin, end;
     int np, first_piece;
-    int parent;  ///< node whose link to overwrite; -1 = root_
+    int parent;  ///< node whose link to set; -1 = root_
     bool is_left;
   };
-  auto writeSlot = [&](const Pending& pd, int code) {
-    if (pd.parent < 0) root_ = code;
-    else if (pd.is_left) nodes_[static_cast<std::size_t>(pd.parent)].left = code;
-    else nodes_[static_cast<std::size_t>(pd.parent)].right = code;
+  struct Split {
+    std::size_t dim;
+    double plane;
+    std::size_t left;  ///< records with coordinate < plane
   };
-  // Descend the partial tree; read-only during counting passes.
-  auto resolveCode = [&](const Particle& p) {
-    int cur = root_;
-    while (cur >= 0) {
-      const PlaneNode& nd = nodes_[static_cast<std::size_t>(cur)];
-      cur = p.position[nd.dim] < nd.plane ? nd.left : nd.right;
-    }
-    return cur;
+  auto link = [&](const Region& r, int code) {
+    if (r.parent < 0) root_ = code;
+    else if (r.is_left) nodes_[static_cast<std::size_t>(r.parent)].left = code;
+    else nodes_[static_cast<std::size_t>(r.parent)].right = code;
   };
 
-  std::vector<Pending> pending{
-      {keys::kRoot, 0, universe, n, n_pieces, 0, -1, false}};
-  std::vector<std::vector<std::size_t>> hist(
-      static_cast<std::size_t>(chunks));
-
-  while (!pending.empty()) {
-    // Finalize single-piece regions; the rest become this level's active
-    // set, their slots holding pending codes for the passes below.
-    std::vector<Pending> active;
-    for (const auto& pd : pending) {
-      if (pd.np == 1) {
-        writeSlot(pd, -(pd.first_piece + 1));
-        regions_[static_cast<std::size_t>(pd.first_piece)] =
-            SubtreeRegion{pd.key, pd.depth, pd.box, pd.count};
+  std::vector<Region> level{
+      {keys::kRoot, 0, universe, 0, n, n_pieces, 0, -1, false}};
+  while (!level.empty()) {
+    std::vector<Region> active;
+    for (const Region& r : level) {
+      if (r.np == 1) {
+        link(r, -(r.first_piece + 1));
+        regions_[static_cast<std::size_t>(r.first_piece)] =
+            SubtreeRegion{r.key, r.depth, r.box, r.end - r.begin};
       } else {
-        writeSlot(pd, -(n_pieces + 1 + static_cast<int>(active.size())));
-        active.push_back(pd);
+        link(r, static_cast<int>(nodes_.size() + active.size()));
+        active.push_back(r);
       }
     }
     if (active.empty()) break;
 
-    // The split target per active region: the smallest s with
-    // #(u < s) >= cut+1 is (cut-th order statistic) + 1 in mapped space.
-    // cntBelow(0) = 0 and cntBelow(2^64-1) = count for non-NaN
-    // coordinates, so the initial bracket invariant holds.
-    struct Split {
-      std::size_t dim{0}, cut{0}, t{0};
-      std::uint64_t lo{0}, hi{~std::uint64_t{0}};
-      bool resolved{false};
-      double plane{0.0};
-    };
     std::vector<Split> splits(active.size());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const Pending& pd = active[a];
-      Split& s = splits[a];
-      s.dim = splitDimension(pd.box, pd.depth);
-      s.cut = pd.count * static_cast<std::size_t>(pd.np / 2) /
-              static_cast<std::size_t>(pd.np);
-      if (pd.count == 0) {
-        // Matches the sort path's empty-region plane.
-        s.resolved = true;
-        s.plane = pd.box.greater_corner[s.dim];
-      } else {
-        s.t = s.cut + 1;
+    par.run(static_cast<int>(active.size()), [&](int a) {
+      const Region& r = active[static_cast<std::size_t>(a)];
+      const auto first = coords.begin() + static_cast<std::ptrdiff_t>(r.begin);
+      const auto last = coords.begin() + static_cast<std::ptrdiff_t>(r.end);
+      const std::size_t dim = splitDimension(r.box, r.depth);
+      // The sort path's proportional cut and its empty-region plane.
+      const std::size_t cut = (r.end - r.begin) *
+                              static_cast<std::size_t>(r.np / 2) /
+                              static_cast<std::size_t>(r.np);
+      double plane = r.box.greater_corner[dim];
+      if (first != last) {
+        std::nth_element(first, first + static_cast<std::ptrdiff_t>(cut), last,
+                         [dim](const Vec3& x, const Vec3& y) {
+                           return mapDouble(x[dim]) < mapDouble(y[dim]);
+                         });
+        plane = first[static_cast<std::ptrdiff_t>(cut)][dim];
       }
-    }
-
-    std::vector<std::size_t> unres, off;
-    std::vector<std::uint64_t> pv;
-    std::vector<int> uidx(splits.size());
-    for (;;) {
-      unres.clear();
-      off.clear();
-      pv.clear();
-      std::fill(uidx.begin(), uidx.end(), -1);
-      for (std::size_t a = 0; a < splits.size(); ++a) {
-        Split& s = splits[a];
-        if (s.resolved) continue;
-        if (s.hi - s.lo <= 1) {
-          s.resolved = true;
-          s.plane = unmapDouble(s.hi - 1);
-          continue;
-        }
-        uidx[a] = static_cast<int>(unres.size());
-        unres.push_back(a);
-        off.push_back(pv.size());
-        appendProbes(s.lo, s.hi, probes, pv);
-      }
-      if (unres.empty()) break;
-      off.push_back(pv.size());
-
-      // Chunk-local histograms, one slot range per unresolved split
-      // (its probe count + 1), binned by upper_bound index of the
-      // particle's mapped coordinate among that split's probes.
-      par.run(chunks, [&](int c) {
-        auto& h = hist[static_cast<std::size_t>(c)];
-        h.assign(pv.size() + unres.size(), 0);
-        const auto cr = decomp::chunkOf(n, chunks, c);
-        for (std::size_t i = cr.begin; i < cr.end; ++i) {
-          const int code = resolveCode(particles[i]);
-          if (code >= -n_pieces) continue;  // settled leaf
-          const auto a =
-              static_cast<std::size_t>(-code - n_pieces - 1);
-          const int u = uidx[a];
-          if (u < 0) continue;  // region's plane already resolved
-          const std::uint64_t uv =
-              mapDouble(particles[i].position[splits[a].dim]);
-          const auto pb = pv.begin() + static_cast<std::ptrdiff_t>(
-                                           off[static_cast<std::size_t>(u)]);
-          const auto pe =
-              pv.begin() + static_cast<std::ptrdiff_t>(
-                               off[static_cast<std::size_t>(u) + 1]);
-          const auto j =
-              static_cast<std::size_t>(std::upper_bound(pb, pe, uv) - pb);
-          ++h[off[static_cast<std::size_t>(u)] +
-              static_cast<std::size_t>(u) + j];
-        }
-      });
-
-      // Inclusive prefix over each split's slots gives #(u < probe);
-      // narrow the bracket at the first probe meeting the target.
-      for (std::size_t u = 0; u < unres.size(); ++u) {
-        Split& s = splits[unres[u]];
-        const std::size_t m = off[u + 1] - off[u];
-        std::size_t cum = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          for (int c = 0; c < chunks; ++c) {
-            cum += hist[static_cast<std::size_t>(c)][off[u] + u + j];
-          }
-          const std::uint64_t v = pv[off[u] + j];
-          if (cum < s.t) s.lo = v;
-          else { s.hi = v; break; }
-        }
-      }
-    }
-
-    // One pass with pieceOf()'s double comparison gives exact left
-    // counts (the mapped order is a refinement, so +/-0.0 could differ).
-    par.run(chunks, [&](int c) {
-      auto& h = hist[static_cast<std::size_t>(c)];
-      h.assign(active.size(), 0);
-      const auto cr = decomp::chunkOf(n, chunks, c);
-      for (std::size_t i = cr.begin; i < cr.end; ++i) {
-        const int code = resolveCode(particles[i]);
-        if (code >= -n_pieces) continue;
-        const auto a = static_cast<std::size_t>(-code - n_pieces - 1);
-        if (particles[i].position[splits[a].dim] < splits[a].plane) ++h[a];
-      }
+      // Partition by pieceOf()'s rule, so the left count (and the
+      // children's records) agree with the assignment under ties.
+      const auto mid = std::partition(
+          first, last, [dim, plane](const Vec3& x) { return x[dim] < plane; });
+      splits[static_cast<std::size_t>(a)] = {
+          dim, plane, static_cast<std::size_t>(mid - first)};
     });
 
-    std::vector<Pending> next;
+    std::vector<Region> next;
     next.reserve(active.size() * 2);
     for (std::size_t a = 0; a < active.size(); ++a) {
-      const Pending& pd = active[a];
+      const Region& r = active[a];
       const Split& s = splits[a];
-      std::size_t m = 0;
-      for (int c = 0; c < chunks; ++c) {
-        m += hist[static_cast<std::size_t>(c)][a];
-      }
-      OrientedBox left_box = pd.box, right_box = pd.box;
+      OrientedBox left_box = r.box, right_box = r.box;
       left_box.greater_corner[s.dim] = s.plane;
       right_box.lesser_corner[s.dim] = s.plane;
       const int self = static_cast<int>(nodes_.size());
       nodes_.push_back({s.dim, s.plane, -1, -1});
-      writeSlot(pd, self);
-      const int left_pieces = pd.np / 2;
-      next.push_back({keys::child(pd.key, 0, 1), pd.depth + 1, left_box, m,
-                      left_pieces, pd.first_piece, self, true});
-      next.push_back({keys::child(pd.key, 1, 1), pd.depth + 1, right_box,
-                      pd.count - m, pd.np - left_pieces,
-                      pd.first_piece + left_pieces, self, false});
+      const int left_pieces = r.np / 2;
+      const std::size_t mid = r.begin + s.left;
+      next.push_back({keys::child(r.key, 0, 1), r.depth + 1, left_box, r.begin,
+                      mid, left_pieces, r.first_piece, self, true});
+      next.push_back({keys::child(r.key, 1, 1), r.depth + 1, right_box, mid,
+                      r.end, r.np - left_pieces, r.first_piece + left_pieces,
+                      self, false});
     }
-    pending = std::move(next);
+    level = std::move(next);
   }
 
   par.run(chunks, [&](int c) {
     const auto cr = decomp::chunkOf(n, chunks, c);
     for (std::size_t i = cr.begin; i < cr.end; ++i) {
-      assign(particles[i], target, -resolveCode(particles[i]) - 1);
+      assign(particles[i], target, pieceOf(particles[i]));
     }
   });
   return n_pieces;

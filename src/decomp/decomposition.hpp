@@ -124,21 +124,22 @@ class Decomposition {
                             Target target) = 0;
 
   /// Candidate splitter values Forest::decompose() probes per unresolved
-  /// splitter per histogram refinement round: more probes means fewer
-  /// counting passes at larger per-pass histograms. The result does not
-  /// depend on it.
+  /// SFC splitter per bisection round. Only eSfc reads it; the result
+  /// does not depend on it.
   static constexpr int kSplitterProbes = 15;
 
   /// Compute the same splitters as findSplitters() — piece assignments
-  /// are bit-identical — by iterative histogramming over candidate
-  /// splitters instead of a global sort. Gather/sort/assignment passes
-  /// fan out through `par` in chunks; `particles` is never reordered.
-  /// `probes` is the number of candidate splitter values probed per
-  /// unresolved splitter per refinement round (>= 1; more probes means
-  /// fewer refinement rounds). Key-based decompositions (eSfc, eOct)
-  /// count over a SortedKeyScratch; pass a prebuilt `scratch` to share
-  /// it across calls on the same keyed particle set (built internally
-  /// when null; ignored by coordinate-based decompositions).
+  /// are bit-identical — without sorting the particles: `particles` is
+  /// never reordered, and the gather and assignment passes fan out
+  /// through `par` in chunks.
+  ///  - Key-based types (eSfc, eOct) count over a SortedKeyScratch. Pass
+  ///    a prebuilt `scratch` to share it across calls on the same keyed
+  ///    particle set; it is built internally when null.
+  ///  - Binary splits (eKd, eLongest) gather the positions into a compact
+  ///    copy once and select each split plane on it, level by level;
+  ///    they ignore `scratch`.
+  /// `probes` (>= 1) is the number of candidate values eSfc probes per
+  /// splitter per bisection round; the other types ignore it.
   virtual int findSplittersHistogram(
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
       Target target, ParallelFor& par, int probes,
@@ -225,6 +226,14 @@ class OctDecomposition final : public Decomposition {
 /// coordinates along the split dimension, and particles partition by the
 /// pieceOf() rule (`coordinate < plane` goes left) — under ties at the
 /// plane both findSplitters() paths and pieceOf() agree.
+///
+/// findSplitters() is the serial reference: it recurses over the
+/// particles themselves, reordering them. findSplittersHistogram() copies
+/// the positions into a 24-byte-per-particle array in one parallel pass,
+/// then splits level by level on it — each active region of a level is
+/// one task that selects its plane (nth_element under a total order in
+/// which -0.0 < +0.0) and partitions its records in place — and finally
+/// assigns every particle through pieceOf() in one chunked pass.
 class BinarySplitDecomposition : public Decomposition {
  public:
   enum class Mode { kCycleDims, kLongestDim };

@@ -29,13 +29,15 @@ std::vector<Particle> makeTestParticles(const InitialConditions& ic,
   return ps;
 }
 
-enum class Input { kUniform, kPlummer, kDuplicateKeys };
+enum class Input { kUniform, kPlummer, kDuplicateKeys, kSignedZeros, kDisk };
 
 const char* inputName(Input in) {
   switch (in) {
     case Input::kUniform: return "uniform";
     case Input::kPlummer: return "plummer";
     case Input::kDuplicateKeys: return "dupkeys";
+    case Input::kSignedZeros: return "signedzeros";
+    case Input::kDisk: return "disk";
   }
   return "?";
 }
@@ -56,6 +58,24 @@ InitialConditions makeInput(Input in) {
       }
       return ic;
     }
+    case Input::kSignedZeros: {
+      // On every axis a third of the coordinates are exactly -0.0, a
+      // third +0.0 and the rest straddle zero, so split planes land on a
+      // zero and the `coordinate < plane` rule must send both zeros the
+      // same way. Each axis uses a different base-3 digit of the index,
+      // so every sign pattern occurs.
+      auto ic = uniformCube(1200, 35);
+      for (std::size_t i = 0; i < ic.size(); ++i) {
+        std::size_t digits = i;
+        for (std::size_t d = 0; d < 3; ++d, digits /= 3) {
+          // Digit 2 keeps the cube's coordinate in [-0.5, 0.5).
+          if (digits % 3 == 0) ic.positions[i][d] = -0.0;
+          if (digits % 3 == 1) ic.positions[i][d] = +0.0;
+        }
+      }
+      return ic;
+    }
+    case Input::kDisk: return planetesimalDisk(1200, 36);
   }
   return {};
 }
@@ -123,7 +143,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          DecompType::eKd, DecompType::eLongest),
                        ::testing::Values(1, 2, 4),
                        ::testing::Values(Input::kUniform, Input::kPlummer,
-                                         Input::kDuplicateKeys)),
+                                         Input::kDuplicateKeys,
+                                         Input::kSignedZeros, Input::kDisk)),
     [](const auto& info) {
       return toString(std::get<0>(info.param)) + "_r" +
              std::to_string(std::get<1>(info.param)) + "_" +
