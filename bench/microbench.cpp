@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the framework's hot paths:
 // Morton key generation, tree build across tree types, Data accumulation,
-// the force kernels, region serialization (the cache-fill payload), and
-// the two traversal orders. These are the primitives whose costs compose
-// into the figure-level results; useful for regression tracking.
+// the force kernels, region serialization (the cache-fill payload), the
+// kNN neighbour heap, and the two traversal orders. These are the
+// primitives whose costs compose into the figure-level results; useful
+// for regression tracking.
 
 #include <benchmark/benchmark.h>
 
 #include "apps/gravity/gravity.hpp"
+#include "apps/sph/knn.hpp"
 #include "core/forest.hpp"
 #include "core/serialization.hpp"
 #include "tree/builder.hpp"
@@ -140,6 +142,30 @@ void BM_SmallVectorPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmallVectorPush);
+
+/// kNN neighbour-heap upkeep, the inner step of the up-and-down kNN
+/// walk: every target of a 256-particle set is offered the same 512
+/// seeded candidates into its k=32 heap. After the fill most offers are
+/// rejected by the root compare; the rest replace the root. Items are
+/// offers.
+void BM_NeighborStoreConsider(benchmark::State& state) {
+  constexpr int kTargets = 256;
+  constexpr int kCandidates = 512;
+  auto targets = makeParticles(uniformCube(kTargets, 101));
+  const auto sources = makeParticles(uniformCube(kCandidates, 202));
+  NeighborStore store(kTargets, 32);
+  for (auto _ : state) {
+    store.clear();
+    for (auto& t : targets) {
+      t.ball2 = kInfiniteBall;
+      for (const auto& s : sources) store.consider(t, s);
+    }
+    benchmark::DoNotOptimize(targets.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTargets * kCandidates);
+}
+BENCHMARK(BM_NeighborStoreConsider);
 
 /// Sequential gravity interaction sweep in the two orders, over a local
 /// tree — the Table II phenomenon as a microbenchmark.

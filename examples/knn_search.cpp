@@ -3,7 +3,9 @@
 // traversal, with the search ball shrinking as candidates arrive. Spot
 // checks a few queries against brute force.
 //
-// Usage: knn_search [n_particles] [k] [n_procs] [workers]
+// Usage: see kUsage below (`knn_search --help` prints it). The four
+// positionals must be positive integers with k <= n_particles; anything
+// else, and any flag, exits 2.
 
 #include <algorithm>
 #include <cstdio>
@@ -12,16 +14,35 @@
 
 #include "apps/sph/knn.hpp"
 #include "apps/sph/sph.hpp"
+#include "bench/bench_util.hpp"
 #include "core/forest.hpp"
 #include "util/timer.hpp"
 
 using namespace paratreet;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: knn_search [n_particles] [k] [n_procs] [workers]\n"
+    "defaults: 20000 particles, k=8, 2 procs x 2 workers\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-  const int k = argc > 2 ? std::atoi(argv[2]) : 8;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  bench::ArgParser args(argc, argv);
+  if (args.help()) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  args.rejectLeftovers(4);
+  const auto n = args.positional<std::size_t>(1, "n_particles", 20000);
+  const int k = args.positional(2, "k", 8);
+  const int procs = args.positional(3, "n_procs", 2);
+  const int workers = args.positional(4, "workers", 2);
+  if (static_cast<std::size_t>(k) > n) {
+    std::fprintf(stderr, "k (%d) must not exceed n_particles (%zu)\n", k, n);
+    return 2;
+  }
 
   rts::Runtime rt({procs, workers});
   Configuration conf;

@@ -9,24 +9,41 @@
 //
 // Prints both results and the work difference that Fig 11 quantifies.
 //
-// Usage: sph_demo [n_particles] [k_neighbors] [n_procs] [workers]
+// Usage: see kUsage below (`sph_demo --help` prints it). The four
+// positionals must be positive integers; anything else, and any flag,
+// exits 2.
 
 #include <cstdio>
 #include <cstdlib>
 
 #include "apps/sph/sph.hpp"
 #include "baselines/gadget/gadget_sph.hpp"
+#include "bench/bench_util.hpp"
 #include "core/forest.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
 using namespace paratreet;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: sph_demo [n_particles] [k_neighbors] [n_procs] [workers]\n"
+    "defaults: 8000 particles, k=32, 2 procs x 2 workers\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8000;
-  const int k = argc > 2 ? std::atoi(argv[2]) : 32;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  bench::ArgParser args(argc, argv);
+  if (args.help()) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  args.rejectLeftovers(4);
+  const auto n = args.positional<std::size_t>(1, "n_particles", 8000);
+  const int k = args.positional(2, "k_neighbors", 32);
+  const int procs = args.positional(3, "n_procs", 2);
+  const int workers = args.positional(4, "workers", 2);
 
   rts::Runtime rt({procs, workers});
   Configuration conf;

@@ -12,14 +12,18 @@
 
 namespace paratreet {
 
-/// One k-nearest-neighbour candidate: enough of the source particle is
-/// copied that later SPH passes need no second tree lookup.
+/// One k-nearest-neighbour entry: the squared distance and the source
+/// particle itself, 16 bytes in all. Later SPH passes read the source's
+/// position, mass and order through the pointer, so no second tree
+/// lookup is needed and no field is copied that nobody reads.
+///
+/// Lifetime: `source` points into a tree leaf, local or a cached remote
+/// copy. Tree nodes and cached copies are pinned until the next
+/// Forest::build(), so the pointer is valid from the kNN traversal up to
+/// that build and must not be followed after it.
 struct Neighbor {
   double d2{0.0};
-  Vec3 position{};
-  Vec3 velocity{};
-  double mass{0.0};
-  std::int32_t order{-1};
+  const Particle* source{nullptr};
 
   /// Max-heap ordering by distance: the heap root is the farthest of the
   /// current k best, which defines the search ball.
@@ -27,12 +31,16 @@ struct Neighbor {
     return a.d2 < b.d2;
   }
 };
+static_assert(sizeof(Neighbor) == 16, "a neighbour entry is d2 + pointer");
 
 /// Global k-nearest-neighbour result storage, indexed by particle
-/// `order`. Thread safety comes from the partition structure: every
-/// particle lives in exactly one bucket of one Partition, and a
-/// Partition's traversal tasks are serialized, so each entry has a single
-/// writer.
+/// `order`: one max-heap of Neighbor entries per particle. Thread safety
+/// comes from the partition structure: every particle lives in exactly
+/// one bucket of one Partition, and a Partition's traversal tasks are
+/// serialized, so each entry has a single writer.
+///
+/// The entries point at source particles, so a filled store is valid
+/// only until the next Forest::build() (see Neighbor).
 class NeighborStore {
  public:
   NeighborStore(std::size_t n_particles, int k) : k_(k), lists_(n_particles) {}
@@ -41,24 +49,24 @@ class NeighborStore {
 
   /// Offer a source particle as a neighbour candidate of `target`;
   /// updates the target's search ball (ball2) as the heap tightens.
+  /// `source` is kept by address, so it must outlive the store's use.
   void consider(Particle& target, const Particle& source) {
     const double d2 = distanceSquared(target.position, source.position);
     auto& heap = lists_[static_cast<std::size_t>(target.order)];
-    if (static_cast<int>(heap.size()) < k_) {
-      heap.push_back({d2, source.position, source.velocity, source.mass,
-                      source.order});
+    const auto k = static_cast<std::size_t>(k_);
+    if (heap.size() < k) {
+      heap.push_back({d2, &source});
       std::push_heap(heap.begin(), heap.end());
-      if (static_cast<int>(heap.size()) == k_) target.ball2 = heap.front().d2;
+      if (heap.size() == k) target.ball2 = heap.front().d2;
       return;
     }
     if (d2 < heap.front().d2) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {d2, source.position, source.velocity, source.mass,
-                     source.order};
-      std::push_heap(heap.begin(), heap.end());
+      replaceRoot(heap.data(), k, {d2, &source});
       target.ball2 = heap.front().d2;
     }
   }
+  /// A temporary would leave a dangling entry.
+  void consider(Particle& target, const Particle&& source) = delete;
 
   const std::vector<Neighbor>& neighbors(std::int32_t order) const {
     return lists_[static_cast<std::size_t>(order)];
@@ -73,6 +81,20 @@ class NeighborStore {
   }
 
  private:
+  /// Overwrite the root of the full max-heap `h[0, n)` with `e` and sift
+  /// it down in one pass. It keeps the same k distances as pop_heap +
+  /// push_heap would, with one sift instead of two.
+  static void replaceRoot(Neighbor* h, std::size_t n, Neighbor e) {
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && h[c].d2 < h[c + 1].d2) ++c;
+      if (!(e.d2 < h[c].d2)) break;
+      h[i] = h[c];
+      i = c;
+    }
+    h[i] = e;
+  }
+
   int k_;
   std::vector<std::vector<Neighbor>> lists_;
 };

@@ -92,7 +92,7 @@ class SphSolver {
       const double h = smoothingLength(p);
       double rho = 0.0;
       for (const auto& nb : nbrs) {
-        rho += nb.mass * sph::kernelW(std::sqrt(nb.d2), h);
+        rho += nb.source->mass * sph::kernelW(std::sqrt(nb.d2), h);
       }
       p.density = rho;
       p.neighbor_count = static_cast<std::int32_t>(nbrs.size());
@@ -107,7 +107,9 @@ class SphSolver {
   }
 
   /// Phase 2: symmetric pressure force over the neighbour lists, using
-  /// the published densities/pressures of both ends of each pair.
+  /// the published densities/pressures of both ends of each pair. The
+  /// lists point into the tree, so this runs before the next
+  /// Forest::build().
   void forcePass(const SphFields& fields) {
     auto* store = &store_;
     const SphFields* f = &fields;
@@ -118,16 +120,17 @@ class SphSolver {
           p.pressure / (p.density * p.density);
       Vec3 accel{};
       for (const auto& nb : store->neighbors(p.order)) {
-        if (nb.order == p.order || nb.d2 == 0.0) continue;
-        const auto j = static_cast<std::size_t>(nb.order);
+        const Particle& q = *nb.source;
+        if (q.order == p.order || nb.d2 == 0.0) continue;
+        const auto j = static_cast<std::size_t>(q.order);
         const double rho_j = f->density[j];
         if (rho_j <= 0.0) continue;
         const double pj_term = f->pressure[j] / (rho_j * rho_j);
         const double r = std::sqrt(nb.d2);
         const double dw = sph::kernelDw(r, h_i);
         // a_i = -sum_j m_j (P_i/rho_i^2 + P_j/rho_j^2) gradW_ij
-        const Vec3 dir = (p.position - nb.position) / r;
-        accel += (-nb.mass * (pi_term + pj_term) * dw) * dir;
+        const Vec3 dir = (p.position - q.position) / r;
+        accel += (-q.mass * (pi_term + pj_term) * dw) * dir;
       }
       p.acceleration += accel;
     });

@@ -85,8 +85,11 @@ INSTANTIATE_TEST_SUITE_P(ProcGrid, DualTreeTest,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(1, 2)),
                          [](const auto& info) {
-                           return "p" + std::to_string(std::get<0>(info.param)) +
-                                  "_w" + std::to_string(std::get<1>(info.param));
+                           std::string name = "p";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_w";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 TEST(DualTreeTest, UniformInputMatchesBruteForce) {

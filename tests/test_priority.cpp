@@ -88,7 +88,9 @@ TEST_P(PriorityTest, NearestNeighborMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Procs, PriorityTest, ::testing::Values(1, 2, 3),
                          [](const auto& info) {
-                           return "p" + std::to_string(info.param);
+                           std::string name = "p";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(PriorityTest, BestFirstOpensFewerNodesThanDepthFirst) {

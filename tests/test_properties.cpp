@@ -140,7 +140,9 @@ TEST_P(DelayedCommTest, CacheModelsAgreeUnderMessageDelay) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DelayedCommTest, ::testing::Values(11, 12),
                          [](const auto& info) {
-                           return "s" + std::to_string(info.param);
+                           std::string name = "s";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(KnnProperty, RandomQueriesAcrossDistributions) {

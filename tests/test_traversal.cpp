@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/sph/knn.hpp"
 #include "core/forest.hpp"
+#include "util/rng.hpp"
 
 namespace paratreet {
 namespace {
@@ -187,8 +192,11 @@ INSTANTIATE_TEST_SUITE_P(Ks, KnnTest,
                          ::testing::Combine(::testing::Values(1, 4, 16),
                                             ::testing::Values(1, 3)),
                          [](const auto& info) {
-                           return "k" + std::to_string(std::get<0>(info.param)) +
-                                  "_p" + std::to_string(std::get<1>(info.param));
+                           std::string name = "k";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_p";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 TEST(KnnTest, SelfIsNearestNeighbor) {
@@ -205,7 +213,7 @@ TEST(KnnTest, SelfIsNearestNeighbor) {
     const auto& nbrs = store.neighbors(order);
     bool has_self = false;
     for (const auto& nb : nbrs) {
-      if (nb.order == order) {
+      if (nb.source->order == order) {
         has_self = true;
         EXPECT_DOUBLE_EQ(nb.d2, 0.0);
       }
@@ -220,25 +228,87 @@ TEST(NeighborStore, HeapSemantics) {
   target.order = 0;
   target.position = Vec3(0, 0, 0);
   target.ball2 = kInfiniteBall;
-  auto src = [](double x, int order) {
+  auto at = [](double x, int order) {
     Particle p;
     p.position = Vec3(x, 0, 0);
     p.order = order;
     p.mass = 1.0;
     return p;
   };
-  store.consider(target, src(5.0, 1));
+  // The store keeps sources by address: they must outlive it.
+  const std::vector<Particle> src = {at(5.0, 1), at(1.0, 2), at(3.0, 3),
+                                     at(2.0, 4), at(10.0, 5)};
+  store.consider(target, src[0]);
   EXPECT_TRUE(std::isinf(target.ball2));  // not full yet
-  store.consider(target, src(1.0, 2));
-  store.consider(target, src(3.0, 3));
+  store.consider(target, src[1]);
+  store.consider(target, src[2]);
   EXPECT_DOUBLE_EQ(target.ball2, 25.0);  // full: farthest is x=5
-  store.consider(target, src(2.0, 4));   // evicts x=5
+  store.consider(target, src[3]);        // evicts x=5
   EXPECT_DOUBLE_EQ(target.ball2, 9.0);
-  store.consider(target, src(10.0, 5));  // too far: ignored
+  store.consider(target, src[4]);        // too far: ignored
   EXPECT_DOUBLE_EQ(target.ball2, 9.0);
   std::set<int> orders;
-  for (const auto& nb : store.neighbors(0)) orders.insert(nb.order);
+  for (const auto& nb : store.neighbors(0)) orders.insert(nb.source->order);
   EXPECT_EQ(orders, (std::set<int>{2, 3, 4}));
+}
+
+/// True when NeighborStore::consider accepts a `Source` argument.
+template <typename Source>
+constexpr bool kConsiderAccepts =
+    requires(NeighborStore& s, Particle& t, Source&& q) {
+      s.consider(t, std::forward<Source>(q));
+    };
+static_assert(kConsiderAccepts<const Particle&>);
+static_assert(!kConsiderAccepts<Particle>,
+              "a temporary source would leave a dangling entry");
+
+TEST(NeighborStore, KeepsTheKSmallestOfASeededStream) {
+  // Candidates on an integer lattice around the target, so many share a
+  // squared distance (whole shells tie). After every offer the heap must
+  // be a max-heap, the ball must be the k-th smallest distance seen so
+  // far (infinite before k arrive), and at the end the kept distances
+  // must be exactly the k smallest of the stream.
+  constexpr int kStream = 10000;
+  for (const int k : {1, 2, 3, 8, 32}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    Rng rng(0x6e6b + static_cast<std::uint64_t>(k));
+    auto coord = [&] { return static_cast<double>(rng.below(41)) - 20.0; };
+    std::vector<Particle> sources(kStream);
+    for (int i = 0; i < kStream; ++i) {
+      const double x = coord(), y = coord(), z = coord();
+      sources[static_cast<std::size_t>(i)].position = Vec3(x, y, z);
+      sources[static_cast<std::size_t>(i)].order = i;
+    }
+    NeighborStore store(1, k);
+    Particle target;
+    target.order = 0;
+    target.ball2 = kInfiniteBall;
+    std::vector<double> best;  // sorted k smallest so far: the reference
+    for (int i = 0; i < kStream; ++i) {
+      const Particle& q = sources[static_cast<std::size_t>(i)];
+      store.consider(target, q);
+      const double d2 = distanceSquared(target.position, q.position);
+      best.insert(std::upper_bound(best.begin(), best.end(), d2), d2);
+      if (best.size() > static_cast<std::size_t>(k)) best.pop_back();
+
+      const auto& heap = store.neighbors(0);
+      ASSERT_TRUE(std::is_heap(heap.begin(), heap.end())) << "after " << i;
+      ASSERT_EQ(heap.size(), best.size()) << "after " << i;
+      if (best.size() < static_cast<std::size_t>(k)) {
+        ASSERT_TRUE(std::isinf(target.ball2)) << "after " << i;
+      } else {
+        ASSERT_EQ(target.ball2, best.back()) << "after " << i;
+      }
+    }
+    std::vector<double> kept;
+    for (const auto& nb : store.neighbors(0)) {
+      EXPECT_EQ(nb.d2, distanceSquared(target.position, nb.source->position));
+      EXPECT_EQ(nb.source, &sources[static_cast<std::size_t>(nb.source->order)]);
+      kept.push_back(nb.d2);
+    }
+    std::sort(kept.begin(), kept.end());
+    EXPECT_EQ(kept, best);
+  }
 }
 
 TEST(Traversal, UpAndDownVisitsOwnLeafFirst) {

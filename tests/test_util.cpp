@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -97,6 +100,115 @@ TEST(OrientedBox, DistanceSquaredToPoint) {
   EXPECT_DOUBLE_EQ(box.distanceSquared(Vec3(2, 0.5, 0.5)), 1.0);
   EXPECT_DOUBLE_EQ(box.distanceSquared(Vec3(2, 2, 0.5)), 2.0);
   EXPECT_DOUBLE_EQ(box.distanceSquared(Vec3(-1, -1, -1)), 3.0);
+}
+
+/// The per-axis branchy form of OrientedBox::distanceSquared(Vec3): the
+/// bitwise reference for its branch-free clamp path.
+double branchyDistanceSquared(const OrientedBox& box, const Vec3& p) {
+  double d2 = 0.0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const double lo = box.lesser_corner[i], hi = box.greater_corner[i];
+    if (p[i] < lo) d2 += (lo - p[i]) * (lo - p[i]);
+    else if (p[i] > hi) d2 += (p[i] - hi) * (p[i] - hi);
+  }
+  return d2;
+}
+
+TEST(OrientedBox, DistanceSquaredMatchesBranchyFormBitwise) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  int checked = 0;
+  auto expectSame = [&checked](const OrientedBox& box, const Vec3& p) {
+    const double got = box.distanceSquared(p);
+    const double want = branchyDistanceSquared(box, p);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << box << " p=" << p << " got " << got << " want " << want;
+    ++checked;
+  };
+
+  // One axis at a time, every combination of awkward bounds and
+  // coordinate, including inverted, infinite and NaN bounds; the other
+  // two axes hold `p` inside [0, 1].
+  const double awkward[] = {-kInf, -kMax, -1e300, -3.0, -1.0, -0.0, 0.0,
+                            1e-310, 0.5,  1.0,    3.0,  1e300, kMax, kInf,
+                            kNan};
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    for (double lo : awkward) {
+      for (double hi : awkward) {
+        for (double x : awkward) {
+          Vec3 a(0), b(1), p(0.5);
+          a[axis] = lo;
+          b[axis] = hi;
+          p[axis] = x;
+          expectSame(OrientedBox{a, b}, p);
+        }
+      }
+    }
+  }
+
+  // Fixed boxes against every combination of awkward coordinates:
+  // empty boxes (default max/lowest corners and inverted infinities), a
+  // finite inverted box, a flat one, an unbounded one, and NaN.
+  const std::vector<OrientedBox> fixed = {
+      OrientedBox{},
+      OrientedBox{Vec3(kInf), Vec3(-kInf)},
+      OrientedBox{Vec3(1), Vec3(-1)},
+      OrientedBox{Vec3(0), Vec3(1)},
+      OrientedBox{Vec3(-2, 0.5, 3), Vec3(-1, 0.5, 7)},
+      OrientedBox{Vec3(-kInf), Vec3(kInf)},
+      OrientedBox{Vec3(kNan), Vec3(kNan)},
+  };
+  for (const auto& box : fixed) {
+    for (double x : awkward) {
+      for (double y : awkward) {
+        for (double z : awkward) expectSame(box, Vec3(x, y, z));
+      }
+    }
+  }
+
+  // Seeded random boxes: points inside, on each face, and outside below
+  // and above on each axis, plus points scattered around the box.
+  Rng rng(0xb0c5);
+  for (int b = 0; b < 500; ++b) {
+    Vec3 lo, hi;
+    for (std::size_t i = 0; i < 3; ++i) {
+      lo[i] = rng.uniform(-10.0, 10.0);
+      hi[i] = lo[i] + (rng.below(8) == 0 ? 0.0 : rng.uniform(0.0, 5.0));
+    }
+    const OrientedBox box{lo, hi};
+    Vec3 inside;
+    for (std::size_t i = 0; i < 3; ++i) inside[i] = rng.uniform(lo[i], hi[i]);
+    expectSame(box, inside);
+    expectSame(box, lo);
+    expectSame(box, hi);
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (const double face : {lo[i], hi[i]}) {
+        Vec3 p = inside;
+        p[i] = face;
+        expectSame(box, p);
+      }
+      for (const double out : {lo[i] - rng.uniform(0.0, 3.0),
+                               hi[i] + rng.uniform(0.0, 3.0),
+                               std::nextafter(lo[i], -kInf),
+                               std::nextafter(hi[i], kInf)}) {
+        Vec3 p = inside;
+        p[i] = out;
+        expectSame(box, p);
+      }
+      Vec3 p = inside;
+      p[i] = kNan;
+      expectSame(box, p);
+    }
+    for (int s = 0; s < 20; ++s) {
+      Vec3 p;
+      for (std::size_t i = 0; i < 3; ++i) {
+        p[i] = rng.uniform(lo[i] - 5.0, hi[i] + 5.0);
+      }
+      expectSame(box, p);
+    }
+  }
+  EXPECT_GT(checked, 30000);
 }
 
 TEST(OrientedBox, FarthestDistanceSquared) {
